@@ -17,8 +17,8 @@ from .saturate import (Exhausted, LimitReached, Outcome, Proof, ProofStep,
                        parse_proof, prove, render_proof, transform_proof,
                        verify_proof)
 from .hoops import (builtin_theory, decompose_linear, derived_tables,
-                    direct_product, is_hoop, is_linear, lemma_corpus,
-                    linear_index_set, lukasiewicz, name_property,
-                    ordinal_sum, ordinal_sum_many, parse_hoop_term,
-                    trivial_hoop, verify_chain)
-from .chains import ChainError, LemmaRecord, verify_chain_report
+                    direct_product, is_hoop, is_linear, linear_index_set,
+                    lukasiewicz, name_property, ordinal_sum,
+                    ordinal_sum_many, parse_hoop_term, trivial_hoop)
+from .chains import (ChainError, LemmaRecord, lemma_corpus, verify_chain,
+                     verify_chain_report)

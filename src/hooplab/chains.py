@@ -746,15 +746,3 @@ def verify_chain(lemma, context=()):
     hoop axioms, definitions and base facts)."""
     ok, _ = verify_chain_report(lemma, context)
     return ok
-
-
-def verify_corpus():
-    """Verify every chain in dependency order.  Yields (name, ok, reason)
-    for the named (non-basic) lemmas."""
-    context = []
-    for record in lemma_corpus():
-        ok, why = verify_chain_report(record, tuple(context))
-        if ok or record.chain is None:
-            context.append(record)
-        if not record.name.startswith("basic_"):
-            yield record.name, ok, why

@@ -195,22 +195,19 @@ def cmd_construct(args, out):
 
 
 def _lemmas_verify_chains(out):
-    proved, named, failed = [], 0, 0
-    verified = 0
+    """One line per lemma, then the count of verified named (non-basic)
+    chains.  A lemma with no transcribed chain is reported, not failed."""
+    named = verified = failed = 0
     for record in chains.lemma_corpus():
-        ok = chains.verify_chain(record, tuple(record.depends_on))
-        if not ok:
-            failed += 1
-            out.write("# %s: REJECTED\n" % record.name)
-        if record.name.startswith("basic_"):
-            if record.chain is not None:
-                out.write("# %s: %s\n"
-                          % (record.name, "ok" if ok else "REJECTED"))
+        if record.chain is None:
+            out.write("# %s: no chain\n" % record.name)
             continue
-        named += 1
-        if ok:
-            verified += 1
-            out.write("# %s: ok\n" % record.name)
+        ok = chains.verify_chain(record, tuple(record.depends_on))
+        out.write("# %s: %s\n" % (record.name, "ok" if ok else "REJECTED"))
+        failed += not ok
+        if not record.name.startswith("basic_"):
+            named += 1
+            verified += ok
     out.write("%d/%d chains verified\n" % (verified, named))
     return EXIT_OK if failed == 0 else EXIT_FAIL
 
@@ -258,7 +255,6 @@ def cmd_lemmas(args, out):
         return _lemmas_verify_chains(out)
     if args.check_models:
         return _lemmas_check_models(args.check_models, out)
-    theory = hoops.builtin_theory("hoop_defs")
     for record in chains.lemma_corpus():
         deps = (" [uses %s]" % ", ".join(record.depends_on)
                 if record.depends_on else "")

@@ -4,30 +4,22 @@ A hoop is a commutative monoid (+, 0) with a truncated subtraction ~ and top
 element 1, satisfying eight equations (see data/hoop.ax).  Models interpret
 constants "0", "1" and binary "+" and "~"; derived_tables extends a model
 with the defined operations cup, cap, \\, nand, neg and the order >=.
+The defined operations are written down once, in data/hoop-defs.ax.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from importlib import resources
+from itertools import product
 
-from .model import FiniteModel, ModelError, isomorphic
-from .syntax import Theory, parse_source, parse_term_text
-from .terms import app, var
+from .model import FiniteModel, ModelError, unflatten
+from .syntax import (Theory, TheoryError, parse_source, parse_term_text,
+                     render_formula)
+from .terms import VAR, subterms, term_vars
 
 PLUS = "+"
 MINUS = "~"
-
-# Derived-operation definitions: op -> (argument variables, defining term).
-# Note \ takes its arguments as y \ x = (x + y) ~ x.
-DERIVED_DEFS = {
-    "neg": (("x",), app(MINUS, app("1"), var("x"))),
-    "cup": (("x", "y"), app(PLUS, var("x"), app(MINUS, var("y"), var("x")))),
-    "cap": (("x", "y"), app(MINUS, var("x"), app(MINUS, var("x"), var("y")))),
-    "\\": (("y", "x"), app(MINUS, app(PLUS, var("x"), var("y")), var("x"))),
-    "nand": (("x", "y"),
-             app(PLUS, app("neg", var("x")), app(MINUS, var("x"), var("y")))),
-}
 
 # nomenclature letters, keyed by operation/constant symbol
 NOMENCLATURE = {
@@ -45,6 +37,35 @@ _BUILTIN_FILES = {
 
 def _data_text(name: str) -> str:
     return (resources.files(__package__) / "data" / name).read_text()
+
+
+def _definitions(theory):
+    """op -> (argument variables, defining term), in file order, from a
+    theory whose every formula reads op(distinct variables) = body, where
+    the body uses only the variables and operations defined above it."""
+    if theory.goals:
+        raise TheoryError("a definitions file has no goals")
+    defs = {}
+    later = [f[1][1][0] for f in theory.assumptions if f[0] == "atom"]
+    for i, f in enumerate(theory.assumptions):
+        ok = f[0] == "atom" and f[1][0] == "="
+        if ok:
+            _, head, body = f[1]
+            params = tuple(a[1] for a in head[1:] if a[0] == VAR)
+            ok = (head[0] != VAR and head[0] not in defs and params
+                  and len(set(params)) == len(head) - 1
+                  and term_vars(body) <= set(params)
+                  and not any(t[0] in later[i:] for t in subterms(body)))
+        if not ok:
+            raise TheoryError("not a definition op(x, ...) = body: %s"
+                              % render_formula(f, theory))
+        defs[head[0]] = (params, body)
+    return defs
+
+
+# Derived-operation definitions: op -> (argument variables, defining term).
+# Note \ takes its arguments as y \ x = (x + y) ~ x.
+DERIVED_DEFS = _definitions(parse_source(_data_text("hoop-defs.ax")))
 
 
 @lru_cache(maxsize=None)
@@ -168,14 +189,11 @@ def derived_tables(h: FiniteModel) -> FiniteModel:
     # definition order matters: nand's body mentions neg
     for op, (params, body) in DERIVED_DEFS.items():
         cur = FiniteModel(n, dict(h.constants), funs)
-        if len(params) == 1:
-            table = tuple(cur.eval_term({"x": i}, body) for i in range(n))
-        else:
-            # params name the body's variables for arg positions 0, 1
-            table = tuple(tuple(
-                cur.eval_term(dict(zip(params, (i, j))), body)
-                for j in range(n)) for i in range(n))
-        funs[op] = table
+        # params name the body's variables for argument positions 0, 1, ...
+        funs[op] = unflatten([cur.eval_term(dict(zip(params, args)), body)
+                              for args in product(range(n),
+                                                  repeat=len(params))],
+                             len(params), n)
     mt = h.fun_tables[MINUS]
     ge = tuple(tuple(mt[j][i] == 0 for j in range(n)) for i in range(n))
     rels = dict(h.rel_tables)
@@ -276,15 +294,3 @@ def name_property(f) -> str:
 
 def parse_hoop_term(text: str):
     return parse_term_text(text, builtin_theory("hoop_defs"))
-
-
-# The lemma corpus and chain verification live in .chains; re-export the
-# corpus entry points here since they are part of the domain layer.
-def lemma_corpus():
-    from .chains import lemma_corpus as _corpus
-    return _corpus()
-
-
-def verify_chain(lemma, context=()):
-    from .chains import verify_chain as _verify
-    return _verify(lemma, context)

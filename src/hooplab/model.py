@@ -132,9 +132,7 @@ class FiniteModel:
 
     def permuted(self, perm):
         """Image of the model under relabeling i -> perm[i]."""
-        inv = [0] * self.size
-        for i, p in enumerate(perm):
-            inv[p] = i
+        inv = _inverse(perm)
         consts = {k: perm[v] for k, v in self.constants.items()}
         funs = {}
         for k, t in self.fun_tables.items():
@@ -145,7 +143,13 @@ class FiniteModel:
         return FiniteModel(self.size, consts, funs, rels)
 
     def canonical_form(self):
-        """Least table encoding over all carrier relabelings."""
+        """The relabeled copy with the least table encoding; isomorphic
+        models have equal canonical forms."""
+        return self.permuted(self.canonical_labeling()[1])
+
+    def canonical_labeling(self):
+        """(least encoding, perm): the least encode() over all carrier
+        relabelings, and a relabeling perm whose image has it."""
         n = self.size
         const_vals = list(self.constants.values())
         funs = [(list(_flat(t)), _arity(t))
@@ -176,7 +180,7 @@ class FiniteModel:
             enc = tuple(enc)
             if best is None or enc < best:
                 best, best_perm = enc, perm
-        return self.permuted(best_perm)
+        return best, best_perm
 
     def __eq__(self, other):
         return (isinstance(other, FiniteModel) and self.size == other.size
@@ -212,6 +216,13 @@ def _arity(t):
     return a
 
 
+def _inverse(perm):
+    inv = [0] * len(perm)
+    for i, p in enumerate(perm):
+        inv[p] = i
+    return inv
+
+
 def _map_table(t, inv, out_map, arity, n):
     def get(idx):
         v = t
@@ -231,12 +242,14 @@ def isomorphic(m1: FiniteModel, m2: FiniteModel):
         raise ModelError("signature mismatch")
     if m1.size != m2.size:
         return None
-    target = m2.encode()
-    for perm in permutations(range(m1.size)):
-        if all(perm[m1.constants[k]] == m2.constants[k] for k in m1.constants):
-            if m1.permuted(perm).encode() == target:
-                return perm
-    return None
+    key1, perm1 = m1.canonical_labeling()
+    key2, perm2 = m2.canonical_labeling()
+    if key1 != key2:
+        return None
+    # m1 goes to the shared canonical form by perm1, and that form goes
+    # to m2 by the inverse of perm2
+    inv2 = _inverse(perm2)
+    return tuple(inv2[p] for p in perm1)
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +283,17 @@ def deserialize_model(line: str) -> FiniteModel:
         if kind == "fun" and arity == 0:
             consts[name] = vals[0]
         elif kind == "fun":
-            funs[name] = _unflatten(vals, arity, n)
+            funs[name] = unflatten(vals, arity, n)
         elif kind == "rel":
-            rels[name] = _unflatten([bool(v) for v in vals], arity, n)
+            rels[name] = unflatten([bool(v) for v in vals], arity, n)
         else:
             raise ModelError("bad model field %r" % p)
     return FiniteModel(n, consts, funs, rels)
 
 
-def _unflatten(vals, arity, n):
+def unflatten(vals, arity, n):
+    """Nested table of the given arity over {0..n-1} from its row-major
+    flat values."""
     if len(vals) != n ** arity:
         raise ModelError("table length %d, expected %d" % (len(vals), n ** arity))
     it = iter(vals)

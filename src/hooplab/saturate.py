@@ -546,22 +546,13 @@ class _State:
         raw = canonical_clause(_dedup(clause))
         sid = self._new_step(raw, [primary])
         if not raw:
-            self.alive.add(sid)
             raise _Contradiction(sid)
-        simplified = self._simplify_preview(raw)
-        if simplified == raw:
-            self._install(sid, raw, input_clause=True)
-        else:
+        _, rewrites = self.demodulate(raw)
+        if rewrites or any(not pol and atom[0] == "=" and atom[1] == atom[2]
+                           for pol, atom in raw):
             self.add(raw, [("copy", sid)])
-
-    def _simplify_preview(self, clause):
-        c, _ = self.demodulate(clause)
-        c = _dedup(c)
-        c = tuple(lit for lit in c
-                  if not (not lit[0] and lit[1][0] == "="
-                          and unify(lit[1][1], lit[1][2]) is not None
-                          and lit[1][1] == lit[1][2]))
-        return c
+        else:
+            self._install(sid, raw, input_clause=True)
 
     # -- orientation / demodulation
 
@@ -729,8 +720,6 @@ class _State:
         if clause and self._forward_subsumed(clause):
             return None
         sid = self._new_step(key, justification)
-        self.alive.add(sid)
-        self.keys[key] = sid
         if not clause:
             raise _Contradiction(sid)
         self._install(sid, key)
@@ -812,21 +801,6 @@ class _State:
             vals.append(val)
         self._demod_vals[sid] = vals
         self._back_simplify(entries)
-
-    def _entry_rewrites(self, entry, clause):
-        did, lhs, rhs, side, ordered = entry
-        for _, atom in clause:
-            for t in atom[1:]:
-                for sub in subterms(t):
-                    if sub[0] == VAR or sub[0] != lhs[0]:
-                        continue
-                    b = match(lhs, sub)
-                    if b is None:
-                        continue
-                    if ordered and not self._lpo(sub, substitute(rhs, b)):
-                        continue
-                    return True
-        return False
 
     def _back_simplify(self, entries):
         did = entries[0][0]
@@ -1176,8 +1150,7 @@ def _expand(proof: Proof) -> Proof:
                     steps.append(mid)
                     current = nid
             else:
-                new_ops.append(op if current is None
-                               else op)
+                new_ops.append(op)
         if current is not None:
             final_ops = [("copy", current)] + [
                 op for op in new_ops if op[0] not in

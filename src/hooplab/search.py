@@ -14,12 +14,10 @@ variables (like >=) are not searched; their tables are derived at the leaves.
 from __future__ import annotations
 
 import time
+from itertools import product
 
-from .model import FiniteModel
-from .terms import VAR, clausify, formula_atoms
-
-FUN = "fun"
-REL = "rel"
+from .model import FiniteModel, unflatten
+from .terms import VAR, clausify, formula_atoms, term_vars
 
 
 class SearchError(ValueError):
@@ -172,8 +170,8 @@ class _Searcher:
         out = []
         for clause in clauses:
             names = sorted({v for _, a in clause for t in a[1:]
-                            for v in _tvars(t)})
-            for values in _tuples(self.n, len(names)):
+                            for v in term_vars(t)})
+            for values in product(range(self.n), repeat=len(names)):
                 env = dict(zip(names, values))
                 lits = []
                 for pol, atom in clause:
@@ -287,6 +285,7 @@ class _Searcher:
     # ---- search
 
     def run(self):
+        """Every leaf model in search order, isomorphic copies included."""
         vals = [None] * self.cell_count
         watch = [[] for _ in range(self.cell_count)]
         self.era = [0] * self.cell_count
@@ -321,8 +320,6 @@ class _Searcher:
 
         deadline = (time.monotonic() + self.opts.max_seconds
                     if self.opts.max_seconds else None)
-        emitted = 0
-        seen = set()
         # per decision level: trail[pos] = cells assigned by that decision
         # (the decision cell plus everything unit propagation forced),
         # wlog[pos] = watch-list additions; both undone LIFO on backtrack.
@@ -375,25 +372,8 @@ class _Searcher:
                     continue
             if pos + 1 == self.cell_count:
                 m = self._leaf_model(vals)
-                if m is None:
-                    continue
-                if self.opts.upto_iso:
-                    m = m.canonical_form()
-                    key = m.encode()
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                # checked before the yield too, so max_models=0 emits
-                # nothing, and after it, so the search stops right after
-                # the last admitted model
-                if (self.opts.max_models is not None
-                        and emitted >= self.opts.max_models):
-                    raise SearchLimit("max_models")
-                yield m
-                emitted += 1
-                if (self.opts.max_models is not None
-                        and emitted >= self.opts.max_models):
-                    raise SearchLimit("max_models")
+                if m is not None:
+                    yield m
             else:
                 push(pos + 1)
         # loop leaves root-forced vals set; harmless, search is over
@@ -471,18 +451,18 @@ class _Searcher:
             if a == 0:
                 consts[s] = flat[0]
             else:
-                funs[s] = _nest(flat, a, n)
+                funs[s] = unflatten(flat, a, n)
         for s, a in self.rel_syms:
             flat = [bool(v) for v in
                     vals[self.base[s]:self.base[s] + n ** a]]
-            rels[s] = _nest(flat, a, n)
+            rels[s] = unflatten(flat, a, n)
         m = FiniteModel(n, consts, funs, rels)
         for name, (params, rhs) in self.derived.items():
             arity = len(params)
             flat = []
-            for values in _tuples(n, arity):
+            for values in product(range(n), repeat=arity):
                 flat.append(m.holds(dict(zip(params, values)), rhs))
-            rels[name] = _nest(flat, arity, n)
+            rels[name] = unflatten(flat, arity, n)
             m = FiniteModel(n, consts, funs, rels)
         for f in self.leaf_formulas:
             if not m.satisfies(f):
@@ -493,45 +473,43 @@ class _Searcher:
         return m
 
 
-def _tvars(t, acc=None):
-    if acc is None:
-        acc = set()
-    if t[0] == VAR:
-        acc.add(t[1])
-    else:
-        for a in t[1:]:
-            _tvars(a, acc)
-    return acc
-
-
-def _tuples(n, k):
-    if k == 0:
-        yield ()
-        return
-    for rest in _tuples(n, k - 1):
-        for v in range(n):
-            yield rest + (v,)
-
-
-def _nest(flat, arity, n):
-    it = iter(flat)
-
-    def build(depth):
-        if depth == arity:
-            return next(it)
-        return tuple(build(depth + 1) for _ in range(n))
-
-    return build(0)
-
-
 def enumerate_models(theory, opts: SearchOptions):
     """Stream the models of theory at opts.size in deterministic order.
 
     With goals present, only models falsifying at least one goal are
-    emitted (counterexample mode).  Raises SearchLimit when max_models or
-    max_seconds cuts the search short.
+    emitted (counterexample mode).  With upto_iso, the canonical form of
+    the first model found in each isomorphism class is emitted.  Raises
+    SearchLimit when max_models or max_seconds cuts the search short.
     """
-    return _Searcher(theory, opts).run()
+    models = _Searcher(theory, opts).run()
+    if opts.upto_iso:
+        models = (m.permuted(perm) for m, perm in _first_of_class(models))
+    if opts.max_models is not None:
+        models = _capped(models, opts.max_models)
+    return models
+
+
+def _first_of_class(models):
+    """(m, perm) for the first-seen m of each isomorphism class, where
+    m.permuted(perm) is its canonical form."""
+    seen = set()
+    for m in models:
+        key, perm = m.canonical_labeling()
+        if key not in seen:
+            seen.add(key)
+            yield m, perm
+
+
+def _capped(models, cap):
+    """At most cap models.  SearchLimit is raised at the first model past
+    the cap, which for cap >= 1 is right after the last one admitted, so
+    the search does not go on to look for it."""
+    for i, m in enumerate(models):
+        if i == cap:
+            raise SearchLimit("max_models")
+        yield m
+        if i + 1 == cap:
+            raise SearchLimit("max_models")
 
 
 def count_models(theory, size, upto_iso=True) -> int:
@@ -541,9 +519,4 @@ def count_models(theory, size, upto_iso=True) -> int:
 
 def isofilter(models):
     """First-seen representative of each isomorphism class, order kept."""
-    seen = set()
-    for m in models:
-        key = m.canonical_form().encode()
-        if key not in seen:
-            seen.add(key)
-            yield m
+    return (m for m, _ in _first_of_class(models))

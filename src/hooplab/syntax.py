@@ -228,16 +228,7 @@ class _Parser:
     # ---- terms
 
     def parse_term(self, max_prec=10**9):
-        t = self.parse_primary()
-        while True:
-            kind, val, _, _ = self.peek()
-            op = self.ops.get(val)
-            if op is None or op[1] != "infix" or op[0] > max_prec:
-                return t
-            self.next()
-            rhs = self.parse_primary()
-            rhs = self.parse_term_rest(rhs, op[0] - 1)
-            t = (val, t, rhs)
+        return self.parse_term_rest(self.parse_primary(), max_prec)
 
     def parse_term_rest(self, t, max_prec):
         while True:

@@ -28,14 +28,6 @@ def var(name: str):
     return (VAR, name)
 
 
-def app(op: str, *args):
-    return (op, *args)
-
-
-def is_var(t) -> bool:
-    return t[0] == VAR
-
-
 def term_vars(t, acc=None):
     """Set of variable names occurring in a term."""
     if acc is None:
@@ -359,10 +351,6 @@ def compare_lpo(t1, t2, prec) -> str:
 
 # ---------------------------------------------------------------------------
 # formulas and clausification
-
-def atom_formula(atom):
-    return ("atom", atom)
-
 
 def formula_atoms(f):
     if f[0] == "atom":

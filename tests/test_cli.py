@@ -162,6 +162,19 @@ def test_lemmas_listing():
     assert "AA" in out and "NNSNNSNN" in out
 
 
+def test_lemmas_verify_chains_reports_each_lemma_once(monkeypatch):
+    # no prover run: every transcribed chain is taken as verified
+    monkeypatch.setattr(cli.chains, "verify_chain",
+                        lambda record, context=(): True)
+    code, out = run("lemmas", "--verify-chains")
+    lines = out.splitlines()
+    assert "# basic_v: no chain" in lines
+    assert "# basic_i: ok" in lines
+    assert len(lines) == len(set(lines))
+    assert lines[-1] == "18/18 chains verified"
+    assert code == 0
+
+
 def test_usage_errors():
     code, _ = run("enumerate", "--size", "3")
     assert code == 3

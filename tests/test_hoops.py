@@ -8,7 +8,8 @@ from hooplab.hoops import (
     is_hoop, is_linear, linear_index_set, lukasiewicz, name_property,
     ordinal_sum, ordinal_sum_many, parse_hoop_term, trivial_hoop,
 )
-from hooplab.model import isomorphic
+from hooplab.model import isomorphic, serialize_model
+from hooplab.search import SearchOptions, enumerate_models
 from hooplab.syntax import parse_formula_text
 
 
@@ -79,6 +80,18 @@ def test_derived_tables_neg():
     assert d.fun_tables["neg"] == (2, 1, 0)
     ge = d.rel_tables[">="]
     assert ge[2][0] and not ge[0][2]
+
+
+def test_derived_tables_satisfy_the_definition_files():
+    # ties the >= table to hoop-ge-def.ax and the operations to
+    # hoop-defs.ax, where alone they are defined
+    defs = builtin_theory("hoop_defs")
+    hoop = builtin_theory("hoop")
+    for n in range(1, 5):
+        for h in enumerate_models(hoop, SearchOptions(n, upto_iso=True)):
+            d = derived_tables(h)
+            for f in defs.assumptions:
+                assert d.satisfies(f), (n, serialize_model(h))
 
 
 def test_is_linear():

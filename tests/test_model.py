@@ -1,11 +1,14 @@
 """Finite models: evaluation, satisfaction, isomorphism, serialization."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from hooplab.hoops import lukasiewicz
+from hooplab.hoops import builtin_theory, lukasiewicz
 from hooplab.model import (
     FiniteModel, ModelError, deserialize_model, isomorphic, serialize_model,
 )
+from hooplab.search import SearchOptions, enumerate_models
 from hooplab.syntax import Theory, parse_formula_text
 
 L3 = lukasiewicz(3)
@@ -58,6 +61,44 @@ def test_isomorphic_distinguishes_structure():
     a = FiniteModel(2, {}, {"f": ((0, 0), (0, 0))})
     b = FiniteModel(2, {}, {"f": ((0, 1), (1, 0))})
     assert not isomorphic(a, b)
+
+
+@st.composite
+def model_and_perm(draw):
+    """A model of size <= 4 with a constant, a binary operation and a
+    binary relation, and a relabeling of its carrier."""
+    n = draw(st.integers(1, 4))
+
+    def table(cell):
+        return draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+    m = FiniteModel(n, {"c": draw(st.integers(0, n - 1))},
+                    {"f": table(st.integers(0, n - 1))},
+                    {"r": table(st.booleans())})
+    return m, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(model_and_perm())
+def test_isomorphic_finds_a_relabeling(mp):
+    m, p = mp
+    q = isomorphic(m, m.permuted(p))
+    assert q is not None
+    assert m.permuted(q) == m.permuted(p)
+
+
+def test_isomorphic_classes_of_labelled_hoops():
+    hoop = builtin_theory("hoop")
+    reps = list(enumerate_models(hoop, SearchOptions(4, upto_iso=True)))
+    labelled = list(enumerate_models(hoop, SearchOptions(4)))
+    assert (len(reps), len(labelled)) == (5, 108)
+    for m in labelled:
+        assert sum(1 for r in reps if isomorphic(m, r) is not None) == 1
+
+
+def test_isomorphic_rejects_signature_mismatch():
+    with pytest.raises(ModelError):
+        isomorphic(L3, FiniteModel(3, {"0": 0}, dict(L3.fun_tables)))
 
 
 def test_canonical_form_is_invariant():
