@@ -194,25 +194,25 @@ def derived_tables(h: FiniteModel) -> FiniteModel:
                               for args in product(range(n),
                                                   repeat=len(params))],
                              len(params), n)
-    mt = h.fun_tables[MINUS]
-    ge = tuple(tuple(mt[j][i] == 0 for j in range(n)) for i in range(n))
+    mt, z = h.fun_tables[MINUS], h.constants["0"]
+    ge = tuple(tuple(mt[j][i] == z for j in range(n)) for i in range(n))
     rels = dict(h.rel_tables)
     rels[">="] = ge
     return FiniteModel(n, dict(h.constants), funs, rels)
 
 
 def is_linear(h: FiniteModel) -> bool:
-    mt = h.fun_tables[MINUS]
+    mt, z = h.fun_tables[MINUS], h.constants["0"]
     n = h.size
-    return all(mt[i][j] == 0 or mt[j][i] == 0
+    return all(mt[i][j] == z or mt[j][i] == z
                for i in range(n) for j in range(i + 1, n))
 
 
 def _order_sorted(h: FiniteModel):
     """Relabel a linear hoop so that i >= j iff i >= j as integers."""
-    mt = h.fun_tables[MINUS]
+    mt, z = h.fun_tables[MINUS], h.constants["0"]
     n = h.size
-    rank = {i: sum(1 for j in range(n) if mt[j][i] == 0) - 1 for i in range(n)}
+    rank = {i: sum(1 for j in range(n) if mt[j][i] == z) - 1 for i in range(n)}
     perm = [rank[i] for i in range(n)]
     return h.permuted(perm)
 

@@ -3,6 +3,13 @@
 Elements are 0..n-1.  Function tables are nested tuples indexed by argument
 (unary: tuple of ints, binary: tuple of row tuples); relation tables hold
 bools.  Models are immutable after construction.
+
+Isomorphism has one key, FiniteModel.canonical_labeling.  The constants
+take labels 0..k-1 in declaration order; colour refinement splits the other
+elements into ordered classes by their rows and columns in every table, and
+each class takes the next block of labels.  The key is the least encode()
+over the relabelings that keep to those blocks, so it costs the product of
+the class sizes' factorials, not n!.
 """
 
 from __future__ import annotations
@@ -143,43 +150,59 @@ class FiniteModel:
         return FiniteModel(self.size, consts, funs, rels)
 
     def canonical_form(self):
-        """The relabeled copy with the least table encoding; isomorphic
-        models have equal canonical forms."""
+        """The relabeled copy whose encoding is the canonical key;
+        isomorphic models have equal canonical forms."""
         return self.permuted(self.canonical_labeling()[1])
 
     def canonical_labeling(self):
-        """(least encoding, perm): the least encode() over all carrier
-        relabelings, and a relabeling perm whose image has it."""
+        """(key, perm): the canonical encoding of the model and a relabeling
+        perm with self.permuted(perm).encode() == key.
+
+        The carrier is split into ordered classes by colour refinement
+        (_refined_classes): constants first, in declaration order, then the
+        unnamed elements split by their rows and columns in every table.
+        The i-th class takes the next consecutive block of labels, and the
+        key is the least encode() over the relabelings that do so, that is
+        over the products of permutations inside each class.  The classes
+        and their order depend only on the isomorphism class, so isomorphic
+        models get equal keys; encode() determines the model, so others get
+        different keys.  The element named by the i-th distinct constant
+        gets label i.
+        """
         n = self.size
         const_vals = list(self.constants.values())
-        funs = [(list(_flat(t)), _arity(t))
-                for t in self.fun_tables.values()]
-        rels = [(list(_flat(t)), _arity(t))
+        funs = [(_flat(t), _arity(t)) for t in self.fun_tables.values()]
+        rels = [([int(v) for v in _flat(t)], _arity(t))
                 for t in self.rel_tables.values()]
+        arities = {a for _, a in funs + rels}
         best = None
         best_perm = None
-        for perm in permutations(range(n)):
-            inv = [0] * n
-            for i, p in enumerate(perm):
-                inv[p] = i
+        perm = [0] * n
+        inv = [0] * n
+        for blocks in product(*(permutations(c) for c in
+                                _refined_classes(n, const_vals, funs, rels))):
+            label = 0
+            for block in blocks:
+                for e in block:
+                    perm[e] = label
+                    inv[label] = e
+                    label += 1
+            # cells[a]: the old flat index of each new cell of an a-ary
+            # table, in row-major order of the new labels
+            cells = {}
+            for a in arities:
+                idx = [0]
+                for _ in range(a):
+                    idx = [j * n + i for j in idx for i in inv]
+                cells[a] = idx
             enc = [perm[v] for v in const_vals]
-            # product(inv, repeat=a) walks new index tuples row-major,
-            # already mapped through the inverse relabeling
             for flat, a in funs:
-                for idx in product(inv, repeat=a):
-                    j = 0
-                    for i in idx:
-                        j = j * n + i
-                    enc.append(perm[flat[j]])
+                enc.extend([perm[flat[j]] for j in cells[a]])
             for flat, a in rels:
-                for idx in product(inv, repeat=a):
-                    j = 0
-                    for i in idx:
-                        j = j * n + i
-                    enc.append(int(flat[j]))
+                enc.extend([flat[j] for j in cells[a]])
             enc = tuple(enc)
             if best is None or enc < best:
-                best, best_perm = enc, perm
+                best, best_perm = enc, tuple(perm)
         return best, best_perm
 
     def __eq__(self, other):
@@ -194,6 +217,78 @@ class FiniteModel:
         return "FiniteModel(%s)" % serialize_model(self)
 
 
+def _refined_classes(n, const_vals, funs, rels):
+    """The carrier {0..n-1} as a list of element classes, in colour order,
+    for a model with the given constant values and flat (table, arity)
+    function and relation tables.
+
+    An element named by constants starts with the index of the first
+    constant naming it; every other element starts with len(const_vals).
+    Each round recolours an element a by its rank in a sort by old colour
+    (ascending), then by the following signature (descending), for each
+    table in order:
+      unary function f: (colour[f(a)], f(a) == a); unary relation: r(a);
+      binary function f: the sorted row of
+        (colour[b], b == a, colour[f(a,b)], f(a,b) == a, f(a,b) == b)
+        over all b, and the sorted column built the same way from f(b,a);
+      binary relation r: the sorted row of (colour[b], b == a, r(a,b)) and
+        the sorted column of (colour[b], b == a, r(b,a)).
+    Tables of other arities do not split classes.  Rounds stop when one
+    does not increase the number of classes.  Only colours and equalities
+    enter a colour, so the classes and their order are invariant under
+    isomorphism.
+    """
+    k = len(const_vals)
+    colour = [k] * n
+    for i, v in enumerate(const_vals):
+        if colour[v] == k:
+            colour[v] = i
+    elems = range(n)
+    count = len(set(colour))
+    while True:
+        # old colour negated, then a descending sort: old classes keep
+        # their order, and inside each the new ones come in the order that
+        # kept most hoop and semilattice representatives of sizes 1-5 as
+        # the n! least-encoding key printed them
+        sigs = [[-c] for c in colour]
+        for flat, arity in funs:
+            if arity == 1:
+                for a, v in enumerate(flat):
+                    sigs[a].append((colour[v], v == a))
+            elif arity == 2:
+                for a in elems:
+                    sig = sigs[a]
+                    for line in (flat[a * n:(a + 1) * n], flat[a::n]):
+                        sig.append(sorted([
+                            (colour[b], b == a, colour[v], v == a, v == b)
+                            for b, v in zip(elems, line)]))
+        for flat, arity in rels:
+            if arity == 1:
+                for a, v in enumerate(flat):
+                    sigs[a].append(v)
+            elif arity == 2:
+                for a in elems:
+                    sig = sigs[a]
+                    for line in (flat[a * n:(a + 1) * n], flat[a::n]):
+                        sig.append(sorted([(colour[b], b == a, v)
+                                           for b, v in zip(elems, line)]))
+        order = sorted(elems, key=sigs.__getitem__, reverse=True)
+        new = [0] * n
+        rank = 0
+        for prev, a in zip(order, order[1:]):
+            if sigs[a] != sigs[prev]:
+                rank += 1
+            new[a] = rank
+        colour = new
+        if rank + 1 == count:
+            break
+        count = rank + 1
+    classes = [[] for _ in range(count)]
+    for e, c in enumerate(colour):
+        classes[c].append(e)
+    return classes
+
+
 def _freeze(t):
     if isinstance(t, (list, tuple)):
         return tuple(_freeze(x) for x in t)
@@ -201,11 +296,11 @@ def _freeze(t):
 
 
 def _flat(t):
-    if isinstance(t, tuple):
-        for x in t:
-            yield from _flat(x)
-    else:
-        yield t
+    """The entries of a nested table as a flat row-major list."""
+    flat = [t]
+    while isinstance(flat[0], tuple):
+        flat = [x for row in flat for x in row]
+    return flat
 
 
 def _arity(t):

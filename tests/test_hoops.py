@@ -3,6 +3,7 @@ linear decomposition, nomenclature."""
 
 import pytest
 
+from hooplab.chains import lemma_corpus
 from hooplab.hoops import (
     builtin_theory, decompose_linear, derived_tables, direct_product,
     is_hoop, is_linear, linear_index_set, lukasiewicz, name_property,
@@ -92,6 +93,39 @@ def test_derived_tables_satisfy_the_definition_files():
             d = derived_tables(h)
             for f in defs.assumptions:
                 assert d.satisfies(f), (n, serialize_model(h))
+
+
+def _labelled_hoops(n):
+    return list(enumerate_models(builtin_theory("hoop"), SearchOptions(n)))
+
+
+def test_derived_tables_of_labelled_hoops():
+    # every labelling of the carrier, not only canonical forms, which put
+    # the constant 0 at element 0
+    defs = builtin_theory("hoop_defs").assumptions  # includes hoop-ge-def.ax
+    corpus = [r.statement for r in lemma_corpus()]
+    assert len(corpus) == 24
+    for n in (3, 4):
+        hs = _labelled_hoops(n)
+        assert any(h.constants["0"] != 0 for h in hs)
+        for h in hs:
+            d = derived_tables(h)
+            for f in defs + corpus:
+                assert d.satisfies(f), (n, serialize_model(h))
+
+
+def test_linear_decomposition_of_labelled_hoops():
+    hoop = builtin_theory("hoop")
+    # every hoop of size 3 is a chain
+    assert all(is_linear(h) for h in _labelled_hoops(3))
+    for n in (3, 4):
+        reps = list(enumerate_models(hoop, SearchOptions(n, upto_iso=True)))
+        for h in _labelled_hoops(n):
+            if not is_linear(h):
+                continue
+            rep, = [r for r in reps if isomorphic(h, r) is not None]
+            assert decompose_linear(h) == decompose_linear(rep), \
+                serialize_model(h)
 
 
 def test_is_linear():

@@ -1,5 +1,7 @@
 """Finite models: evaluation, satisfaction, isomorphism, serialization."""
 
+from itertools import permutations, product
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -85,6 +87,96 @@ def test_isomorphic_finds_a_relabeling(mp):
     q = isomorphic(m, m.permuted(p))
     assert q is not None
     assert m.permuted(q) == m.permuted(p)
+
+
+def _brute_key(m):
+    """The least encoding over all n! relabelings."""
+    return min(m.permuted(p).encode() for p in permutations(range(m.size)))
+
+
+@st.composite
+def symmetric_model(draw, n):
+    """A model of size n with constants c and d, a unary g, a binary f and
+    a binary relation r, all invariant under a drawn relabeling sigma that
+    fixes the constants.  For sigma other than the identity, sigma is a
+    nontrivial automorphism, so no invariant splits its orbits and
+    refinement leaves classes of size > 1."""
+    c, d = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    moved = [e for e in range(n) if e not in (c, d)]
+    sigma = list(range(n))
+    for e, img in zip(moved, draw(st.permutations(moved))):
+        sigma[e] = img
+
+    def table(arity, is_fun):
+        out = {}
+        for args in product(range(n), repeat=arity):
+            if args in out:
+                continue
+            orbit = [args]
+            while True:
+                nxt = tuple(sigma[x] for x in orbit[-1])
+                if nxt == args:
+                    break
+                orbit.append(nxt)
+            if is_fun:
+                # the value's orbit must divide the argument orbit
+                fixed = []
+                for v in range(n):
+                    w = v
+                    for _ in orbit:
+                        w = sigma[w]
+                    if w == v:
+                        fixed.append(v)
+                v = draw(st.sampled_from(fixed))
+            else:
+                v = draw(st.booleans())
+            for t in orbit:
+                out[t] = v
+                if is_fun:
+                    v = sigma[v]
+        flat = [out[t] for t in product(range(n), repeat=arity)]
+        return (tuple(flat) if arity == 1 else
+                tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)))
+
+    return FiniteModel(n, {"c": c, "d": d},
+                       {"g": table(1, True), "f": table(2, True)},
+                       {"r": table(2, False)})
+
+
+@st.composite
+def model_pair(draw):
+    """Two models of size <= 5 over one signature: a symmetric model and
+    a relabeled copy, a copy with one cell changed, or another model."""
+    n = draw(st.integers(1, 5))
+    m = draw(symmetric_model(n))
+    kind = draw(st.sampled_from(["copy", "mutant", "other"]))
+    if kind == "other":
+        other = draw(symmetric_model(n))
+    else:
+        other = m
+        if kind == "mutant":
+            f = [list(row) for row in m.fun_tables["f"]]
+            f[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = \
+                draw(st.integers(0, n - 1))
+            other = FiniteModel(n, m.constants,
+                                {"g": m.fun_tables["g"], "f": f},
+                                m.rel_tables)
+    return m, other.permuted(draw(st.permutations(range(n))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(model_pair())
+def test_canonical_labeling_against_brute_force(pair):
+    m1, m2 = pair
+    (key1, perm1), (key2, perm2) = (m1.canonical_labeling(),
+                                    m2.canonical_labeling())
+    assert (key1 == key2) == (_brute_key(m1) == _brute_key(m2))
+    for m, key, perm in ((m1, key1, perm1), (m2, key2, perm2)):
+        assert m.permuted(perm).encode() == key
+        form = m.canonical_form()
+        assert form.canonical_form() == form
+        named = list(dict.fromkeys(m.constants.values()))
+        assert [perm[e] for e in named] == list(range(len(named)))
 
 
 def test_isomorphic_classes_of_labelled_hoops():

@@ -40,6 +40,17 @@ def test_upto_iso_filters():
     assert len(list(isofilter(all_models))) == len(iso_models)
 
 
+@pytest.mark.parametrize("name", ["hoop", "semilattice_ge", "pocrim"])
+def test_upto_iso_yields_canonical_forms(name):
+    for n in range(1, 5):
+        models = list(enumerate_models(builtin_theory(name),
+                                       SearchOptions(n, upto_iso=True)))
+        keys = [m.canonical_labeling()[0] for m in models]
+        assert len(set(keys)) == len(keys)
+        for m in models:
+            assert m.canonical_form() == m
+
+
 def test_found_models_include_lukasiewicz():
     found = list(enumerate_models(HOOP, SearchOptions(3, upto_iso=True)))
     assert any(isomorphic(m, lukasiewicz(3)) for m in found)
