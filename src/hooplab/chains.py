@@ -50,6 +50,7 @@ from importlib import resources
 
 from .terms import ac_normal, substitute, term_vars
 from .hoops import DERIVED_DEFS, MINUS, PLUS, builtin_theory, parse_hoop_term
+from .syntax import Theory
 
 ZERO = ("0",)
 ONE = ("1",)
@@ -569,17 +570,25 @@ def _registry():
 _DERIVE_GIVEN = 300
 
 
+def lemma_theory(names, goal):
+    """The theory hoop_defs plus the statements of the named lemmas
+    (helpers included), with goal as its one goal.  Raises ChainError
+    on a name that is neither."""
+    reg = _registry()
+    unknown = [n for n in names if n not in reg]
+    if unknown:
+        raise ChainError("unknown lemma %s" % ", ".join(unknown))
+    base = builtin_theory("hoop_defs")
+    return Theory(op_decls=list(base.op_decls),
+                  assumptions=list(base.assumptions)
+                  + [reg[n].statement for n in names],
+                  goals=[goal])
+
+
 def _derive_ok(prev, cur, names):
     from .saturate import ProverLimits, prove
-    from .syntax import Theory
-    base = builtin_theory("hoop_defs")
-    reg = _registry()
-    assumptions = list(base.assumptions)
-    assumptions.extend(reg[n].statement for n in names)
-    theory = Theory(op_decls=list(base.op_decls),
-                    assumptions=assumptions,
-                    goals=[("atom", ("=", prev, cur))])
-    outcome = prove(theory, ProverLimits(max_given=_DERIVE_GIVEN))
+    outcome = prove(lemma_theory(names, ("atom", ("=", prev, cur))),
+                    ProverLimits(max_given=_DERIVE_GIVEN))
     return outcome.status == "proved"
 
 

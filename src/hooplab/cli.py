@@ -234,17 +234,10 @@ def _lemmas_check_models(size, out):
 
 
 def _lemmas_prove(name, args, out):
-    records = {r.name: r for r in chains.lemma_corpus()}
-    if name not in records:
+    record = {r.name: r for r in chains.lemma_corpus()}.get(name)
+    if record is None:
         raise UsageError("unknown lemma %r" % name)
-    record = records[name]
-    base = hoops.builtin_theory("hoop_defs")
-    theory = syntax.Theory(
-        op_decls=list(base.op_decls),
-        assumptions=list(base.assumptions)
-        + [records[d].statement for d in record.depends_on
-           if d in records],
-        goals=[record.statement])
+    theory = chains.lemma_theory(record.depends_on, record.statement)
     return _run_prover(theory, args, out, [])
 
 

@@ -3,20 +3,18 @@
 A hoop is a commutative monoid (+, 0) with a truncated subtraction ~ and top
 element 1, satisfying eight equations (see data/hoop.ax).  Models interpret
 constants "0", "1" and binary "+" and "~"; derived_tables extends a model
-with the defined operations cup, cap, \\, nand, neg and the order >=.
-The defined operations are written down once, in data/hoop-defs.ax.
+with the order >= and the defined operations cup, cap, \\, nand, neg.
+They are written down once, in data/hoop-ge-def.ax and data/hoop-defs.ax.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from importlib import resources
-from itertools import product
 
-from .model import FiniteModel, ModelError, unflatten
+from .model import FiniteModel, ModelError
 from .syntax import (Theory, TheoryError, parse_source, parse_term_text,
                      render_formula)
-from .terms import VAR, subterms, term_vars
 
 PLUS = "+"
 MINUS = "~"
@@ -27,56 +25,51 @@ NOMENCLATURE = {
     "cup": "J", "cap": "M", "\\": "D", "nand": "A", "neg": "N",
 }
 
-_BUILTIN_FILES = {
-    "semilattice": ("semilattice.ax",),
-    "semilattice_ge": ("semilattice.ax", "sl-ge-def.ax"),
-    "hoop": ("hoop.ax",),
-    "pocrim": ("pocrim.ax",),
-}
-
 
 def _data_text(name: str) -> str:
     return (resources.files(__package__) / "data" / name).read_text()
 
 
-def _definitions(theory):
-    """op -> (argument variables, defining term), in file order, from a
-    theory whose every formula reads op(distinct variables) = body, where
-    the body uses only the variables and operations defined above it."""
-    if theory.goals:
-        raise TheoryError("a definitions file has no goals")
-    defs = {}
-    later = [f[1][1][0] for f in theory.assumptions if f[0] == "atom"]
-    for i, f in enumerate(theory.assumptions):
-        ok = f[0] == "atom" and f[1][0] == "="
-        if ok:
-            _, head, body = f[1]
-            params = tuple(a[1] for a in head[1:] if a[0] == VAR)
-            ok = (head[0] != VAR and head[0] not in defs and params
-                  and len(set(params)) == len(head) - 1
-                  and term_vars(body) <= set(params)
-                  and not any(t[0] in later[i:] for t in subterms(body)))
-        if not ok:
-            raise TheoryError("not a definition op(x, ...) = body: %s"
-                              % render_formula(f, theory))
-        defs[head[0]] = (params, body)
+def _parse_definitions(text):
+    """Theory.definitions of a text in which every formula is a
+    definition; raises TheoryError at the first one that is not."""
+    theory = parse_source(text)
+    defs, indices = theory.definitions()
+    others = [f for i, f in enumerate(theory.assumptions)
+              if i not in indices] + theory.goals
+    if others:
+        raise TheoryError("not a definition: %s"
+                          % render_formula(others[0], theory))
     return defs
 
 
-# Derived-operation definitions: op -> (argument variables, defining term).
-# Note \ takes its arguments as y \ x = (x + y) ~ x.
-DERIVED_DEFS = _definitions(parse_source(_data_text("hoop-defs.ax")))
+_DEFINITION_FILES = ("hoop-ge-def.ax", "hoop-defs.ax")
+
+# >= and the derived operations: symbol -> (kind, params, body), in
+# definition order.  Note \ takes its arguments as y \ x = (x + y) ~ x.
+DEFINITIONS = _parse_definitions(
+    "\n".join(_data_text(f) for f in _DEFINITION_FILES))
+
+# The derived operations alone: op -> (argument variables, defining term).
+DERIVED_DEFS = {op: (params, body)
+                for op, (kind, params, body) in DEFINITIONS.items()
+                if kind == "function"}
+
+_BUILTIN_FILES = {
+    "semilattice": ("semilattice.ax",),
+    "semilattice_ge": ("semilattice.ax", "sl-ge-def.ax"),
+    "hoop": ("hoop.ax",),
+    "pocrim": ("pocrim.ax",),
+    "hoop_defs": ("hoop.ax",) + _DEFINITION_FILES,
+    "hoop_linear": ("hoop.ax", "hoop-linear.ax"),
+}
 
 
 @lru_cache(maxsize=None)
 def builtin_theory(name: str) -> Theory:
     """One of semilattice, semilattice_ge, hoop, pocrim (with variants
     hoop_defs = hoop + derived-op definitions + >=, hoop_linear)."""
-    files = {
-        **_BUILTIN_FILES,
-        "hoop_defs": ("hoop.ax", "hoop-ge-def.ax", "hoop-defs.ax"),
-        "hoop_linear": ("hoop.ax", "hoop-linear.ax"),
-    }.get(name)
+    files = _BUILTIN_FILES.get(name)
     if files is None:
         raise ValueError("unknown builtin theory %r" % name)
     # one parse over the concatenation: later files use earlier declarations
@@ -183,22 +176,9 @@ def direct_product(h1: FiniteModel, h2: FiniteModel) -> FiniteModel:
 
 
 def derived_tables(h: FiniteModel) -> FiniteModel:
-    """Extend with cup, cap, \\, nand, neg tables and the >= relation."""
-    n = h.size
-    funs = dict(h.fun_tables)
-    # definition order matters: nand's body mentions neg
-    for op, (params, body) in DERIVED_DEFS.items():
-        cur = FiniteModel(n, dict(h.constants), funs)
-        # params name the body's variables for argument positions 0, 1, ...
-        funs[op] = unflatten([cur.eval_term(dict(zip(params, args)), body)
-                              for args in product(range(n),
-                                                  repeat=len(params))],
-                             len(params), n)
-    mt, z = h.fun_tables[MINUS], h.constants["0"]
-    ge = tuple(tuple(mt[j][i] == z for j in range(n)) for i in range(n))
-    rels = dict(h.rel_tables)
-    rels[">="] = ge
-    return FiniteModel(n, dict(h.constants), funs, rels)
+    """Extend with the >= relation and the cup, cap, \\, nand, neg
+    tables, as data/hoop-ge-def.ax and data/hoop-defs.ax define them."""
+    return h.extend(DEFINITIONS)
 
 
 def is_linear(h: FiniteModel) -> bool:

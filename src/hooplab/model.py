@@ -125,6 +125,21 @@ class FiniteModel:
                 return env
         return None
 
+    def extend(self, defs):
+        """This model with a table appended for each definition of defs,
+        a map symbol -> (kind, params, body) as Theory.definitions gives
+        it, in order; each body is evaluated with the tables before it."""
+        n = self.size
+        m = FiniteModel(n, self.constants, self.fun_tables, self.rel_tables)
+        for name, (kind, params, body) in defs.items():
+            envs = [dict(zip(params, args))
+                    for args in product(range(n), repeat=len(params))]
+            tables, value = ((m.fun_tables, m.eval_term) if kind == "function"
+                             else (m.rel_tables, m.holds))
+            tables[name] = unflatten([value(env, body) for env in envs],
+                                     len(params), n)
+        return m
+
     # ---- isomorphism
 
     def encode(self):

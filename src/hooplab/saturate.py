@@ -547,10 +547,9 @@ class _State:
         sid = self._new_step(raw, [primary])
         if not raw:
             raise _Contradiction(sid)
-        _, rewrites = self.demodulate(raw)
-        if rewrites or any(not pol and atom[0] == "=" and atom[1] == atom[2]
-                           for pol, atom in raw):
-            self.add(raw, [("copy", sid)])
+        simplified, justification = self.simplify(raw, [("copy", sid)])
+        if len(justification) > 1:  # rewritten or a literal resolved away
+            self.keep(simplified, justification)
         else:
             self._install(sid, raw, input_clause=True)
 
@@ -692,22 +691,29 @@ class _State:
     # -- adding derived clauses
 
     def add(self, clause, justification):
+        return self.keep(*self.simplify(clause, justification))
+
+    def simplify(self, clause, justification):
+        """The clause's normal form under the demodulators with its trivial
+        s != s literals resolved away, and the justification extended by
+        one entry per step taken."""
         clause = _dedup(clause)
         clause, rewrites = self.demodulate(clause)
         clause = _dedup(clause)
         if rewrites:
             justification = justification + [("rewrite", rewrites)]
-        # resolve trivial s != s literals away
-        i = 0
-        work = list(clause)
-        while i < len(work):
-            pol, atom = work[i]
+        kept = []
+        for pol, atom in clause:
             if not pol and atom[0] == "=" and atom[1] == atom[2]:
-                justification = justification + [("xx", i)]
-                del work[i]
+                # its index once the literals before it have gone
+                justification = justification + [("xx", len(kept))]
             else:
-                i += 1
-        clause = tuple(work)
+                kept.append((pol, atom))
+        return tuple(kept), justification
+
+    def keep(self, clause, justification):
+        """Install a simplified clause as a new step unless it is
+        redundant; its step id, or None."""
         if is_tautology(clause) or self._ac_tautology(clause):
             return None
         lim = self.limits.max_clause_weight

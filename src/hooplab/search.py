@@ -7,8 +7,11 @@ instances; each instance watches the cell its evaluation is currently blocked
 on and is re-checked when that cell gets a value, pruning on violation.
 
 Goals put the search in counterexample mode: emitted models must falsify at
-least one goal.  Relations defined by an IFF assumption over distinct
-variables (like >=) are not searched; their tables are derived at the leaves.
+least one goal.  Functions and relations that an assumption defines (see
+Theory.definitions: f(x, ...) = term like cup, R(x, ...) <-> formula like
+>=) are not searched: FiniteModel.extend computes their tables at the
+leaves, where the goals and every other assumption that mentions a defined
+symbol are checked.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import time
 from itertools import product
 
 from .model import FiniteModel, unflatten
-from .terms import VAR, clausify, formula_atoms, term_vars
+from .terms import VAR, clausify, formula_symbols, term_vars
 
 
 class SearchError(ValueError):
@@ -44,56 +47,26 @@ class SearchOptions:
         self.max_seconds = max_seconds
 
 
-def _relation_definitions(theory):
-    """IFF assumptions R(v1..vk) <-> rhs with distinct variable arguments
-    and R not occurring in rhs define R as a derived table."""
-    defs = {}
-    defining = []
-    for i, f in enumerate(theory.assumptions):
-        if f[0] != "iff" or f[1][0] != "atom":
-            continue
-        atom = f[1][1]
-        name = atom[0]
-        if name == "=":
-            continue
-        args = atom[1:]
-        if not all(t[0] == VAR for t in args):
-            continue
-        if len({t[1] for t in args}) != len(args):
-            continue
-        if any(a[0] == name for a in formula_atoms(f[2])):
-            continue
-        if name in defs:
-            continue
-        defs[name] = (tuple(t[1] for t in args), f[2])
-        defining.append(i)
-    return defs, set(defining)
-
-
 class _Searcher:
     def __init__(self, theory, opts: SearchOptions):
         self.theory = theory
         self.opts = opts
         self.n = opts.size
-        symbols = theory.symbols()
-        self.derived, defining = _relation_definitions(theory)
-
-        funs = [(s, a) for s, (a, k) in symbols.items() if k == "function"]
-        rels = [(s, a) for s, (a, k) in symbols.items()
-                if k == "relation" and s != "=" and s not in self.derived]
+        self.defs, defining = theory.definitions()
+        searched = [(s, a, k) for s, (a, k) in theory.symbols().items()
+                    if s not in self.defs]
+        funs = [(s, a) for s, a, k in searched if k == "function"]
+        rels = [(s, a) for s, a, k in searched if k == "relation"]
         funs.sort(key=lambda sa: sa[1])  # constants, unary, binary, ...
         self.fun_syms, self.rel_syms = funs, rels
 
         # fixed cell order; base[name] = first cell id of that table
         self.base = {}
-        self.cell_count = 0
+        self.is_rel_cell = []
         for s, a in funs + rels:
-            self.base[s] = self.cell_count
-            self.cell_count += self.n ** a
-        self.is_rel_cell = [False] * self.cell_count
-        for s, a in rels:
-            for i in range(self.n ** a):
-                self.is_rel_cell[self.base[s] + i] = True
+            self.base[s] = len(self.is_rel_cell)
+            self.is_rel_cell += [(s, a) in rels] * self.n ** a
+        self.cell_count = len(self.is_rel_cell)
 
         # assignment order: same-arity tables interleaved position by
         # position, so axioms coupling two operations fail early; searched
@@ -126,13 +99,12 @@ class _Searcher:
             self.smax.append(acc)
 
         # split assumptions into propagated clauses and leaf formulas
-        self.uses_numerals = False
         self.leaf_formulas = []
         clauses = []
         for i, f in enumerate(theory.assumptions):
             if i in defining:
                 continue
-            if any(a[0] in self.derived for a in formula_atoms(f)):
+            if not formula_symbols(f).isdisjoint(self.defs):
                 self.leaf_formulas.append(f)
             else:
                 clauses.extend(clausify(f, "assumption"))
@@ -150,21 +122,16 @@ class _Searcher:
             return
         name, args = t[0], t[1:]
         if not args:
-            if name in self.base:
-                prog.append((1, self.base[name]))
-            elif name.isdigit() and int(name) < self.n:
-                self.uses_numerals = True
-                prog.append((0, int(name)))
-            else:
-                raise SearchError("uninterpreted constant %r" % name)
+            prog.append((1, self.base[name]))
             return
-        if name not in self.base:
-            raise SearchError("uninterpreted function %r" % name)
         for a in args:
             self._emit(a, env, prog)
-        prog.append((2, self.base[name],
-                     tuple(self.n ** (len(args) - 1 - i)
-                           for i in range(len(args)))))
+        prog.append(self._lookup(name, len(args)))
+
+    def _lookup(self, name, k):
+        """The opcode that pops k arguments and pushes name's value."""
+        return (2, self.base[name],
+                tuple(self.n ** (k - 1 - i) for i in range(k)))
 
     def _ground_instances(self, clauses):
         out = []
@@ -179,13 +146,7 @@ class _Searcher:
                     for t in atom[1:]:
                         self._emit(t, env, prog)
                     if atom[0] != "=":
-                        if atom[0] not in self.base:
-                            raise SearchError(
-                                "uninterpreted relation %r" % atom[0])
-                        k = len(atom) - 1
-                        prog.append((2, self.base[atom[0]],
-                                     tuple(self.n ** (k - 1 - i)
-                                           for i in range(k))))
+                        prog.append(self._lookup(atom[0], len(atom) - 1))
                     # equality leaves two stack values, a relation one
                     lits.append((pol, atom[0] == "=", tuple(prog)))
                 out.append(tuple(lits))
@@ -382,7 +343,7 @@ class _Searcher:
         cell = self.order[pos]
         if self.is_rel_cell[cell]:
             return (0, 1)
-        if self.opts.upto_iso and not self.uses_numerals:
+        if self.opts.upto_iso:
             # least-number heuristic: elements beyond the largest one
             # mentioned so far are interchangeable, so trying the first
             # fresh one is enough; sound up to isomorphism
@@ -445,31 +406,18 @@ class _Searcher:
 
     def _leaf_model(self, vals):
         n = self.n
-        consts, funs, rels = {}, {}, {}
-        for s, a in self.fun_syms:
-            flat = vals[self.base[s]:self.base[s] + n ** a]
-            if a == 0:
-                consts[s] = flat[0]
-            else:
-                funs[s] = unflatten(flat, a, n)
-        for s, a in self.rel_syms:
-            flat = [bool(v) for v in
-                    vals[self.base[s]:self.base[s] + n ** a]]
-            rels[s] = unflatten(flat, a, n)
-        m = FiniteModel(n, consts, funs, rels)
-        for name, (params, rhs) in self.derived.items():
-            arity = len(params)
-            flat = []
-            for values in product(range(n), repeat=arity):
-                flat.append(m.holds(dict(zip(params, values)), rhs))
-            rels[name] = unflatten(flat, arity, n)
-            m = FiniteModel(n, consts, funs, rels)
-        for f in self.leaf_formulas:
-            if not m.satisfies(f):
-                return None
-        if self.theory.goals:
-            if all(m.satisfies(g) for g in self.theory.goals):
-                return None
+        flat = {s: vals[self.base[s]:self.base[s] + n ** a]
+                for s, a in self.fun_syms + self.rel_syms}
+        m = FiniteModel(
+            n, {s: flat[s][0] for s, a in self.fun_syms if a == 0},
+            {s: unflatten(flat[s], a, n) for s, a in self.fun_syms if a},
+            {s: unflatten([bool(v) for v in flat[s]], a, n)
+             for s, a in self.rel_syms}).extend(self.defs)
+        if not all(m.satisfies(f) for f in self.leaf_formulas):
+            return None
+        if self.theory.goals and all(m.satisfies(g)
+                                     for g in self.theory.goals):
+            return None
         return m
 
 

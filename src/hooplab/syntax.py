@@ -22,7 +22,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .terms import VAR, var
+from .terms import (VAR, formula_atoms, formula_symbols, formula_vars,
+                    subterms, term_symbols, term_vars, var)
 
 FIXED_TOKENS = ["<->", "->", "!=", ">=", "<=", "=", "&", "|", "'",
                 "(", ")", ".", ",", "-"]
@@ -61,38 +62,52 @@ class Theory:
     def symbols(self):
         """Map symbol name -> (arity, kind); raises TheoryError on conflict."""
         table = {}
-        def note(name, arity, kind):
-            old = table.get(name)
-            if old is not None and old != (arity, kind):
-                raise TheoryError(
-                    "symbol %r used with conflicting arity/kind %r vs %r"
-                    % (name, old, (arity, kind)))
-            table[name] = (arity, kind)
-        def visit_term(t):
-            if t[0] == VAR:
-                return
-            note(t[0], len(t) - 1, "function")
-            for a in t[1:]:
-                visit_term(a)
-        def visit_formula(f):
-            if f[0] == "atom":
-                atom = f[1]
-                if atom[0] != "=":
-                    note(atom[0], len(atom) - 1, "relation")
-                for t in atom[1:]:
-                    visit_term(t)
-            elif f[0] == "not":
-                visit_formula(f[1])
-            else:
-                visit_formula(f[1])
-                visit_formula(f[2])
         for f in self.assumptions + self.goals:
-            visit_formula(f)
+            for atom in formula_atoms(f):
+                found = [(t[0], len(t) - 1, "function") for a in atom[1:]
+                         for t in subterms(a) if t[0] != VAR]
+                if atom[0] != "=":
+                    found.insert(0, (atom[0], len(atom) - 1, "relation"))
+                for name, arity, kind in found:
+                    old = table.setdefault(name, (arity, kind))
+                    if old != (arity, kind):
+                        raise TheoryError(
+                            "symbol %r used with conflicting arity/kind "
+                            "%r vs %r" % (name, old, (arity, kind)))
         for prec, fixity, sym in self.op_decls:
             if sym in table and table[sym] != (2, "function"):
                 raise TheoryError("declared operator %r used as %r"
                                   % (sym, table[sym]))
         return table
+
+    def definitions(self):
+        """The assumptions that define a symbol, in file order.
+
+        f(x1..xk) = term and R(x1..xk) <-> formula, over k >= 1 distinct
+        variables, define f or R when the body uses only those variables,
+        mentions neither the head nor a symbol that a later formula of
+        either shape has as its head, and the head is not defined above.
+        Returns (defs, indices): defs maps each defined symbol, in order,
+        to (kind, params, body) with kind "function" or "relation" as in
+        symbols(), and indices lists the defining assumptions' positions.
+        """
+        shapes = [_definition_shape(f) for f in self.assumptions]
+        defs, indices = {}, []
+        for i, shape in enumerate(shapes):
+            if shape is None:
+                continue
+            kind, name, params, body = shape
+            if kind == "function":
+                used, mentioned = term_vars(body), term_symbols(body)
+            else:
+                used, mentioned = formula_vars(body), formula_symbols(body)
+            later = {s[1] for s in shapes[i + 1:] if s is not None}
+            if (name in defs or not used <= set(params)
+                    or name in mentioned or mentioned & later):
+                continue
+            defs[name] = (kind, params, body)
+            indices.append(i)
+        return defs, indices
 
     def precedence(self):
         """Default LPO precedence: 0 < 1 < other constants < undeclared
@@ -114,6 +129,23 @@ class Theory:
             prec[n] = 2000 + i
         prec[NEG] = 3000
         return prec
+
+
+def _definition_shape(f):
+    """(kind, head symbol, params, body) when f reads f(x1..xk) = term or
+    R(x1..xk) <-> formula over k >= 1 distinct variables, else None."""
+    if f[0] == "atom" and f[1][0] == "=":
+        kind, head, body = "function", f[1][1], f[1][2]
+    elif f[0] == "iff" and f[1][0] == "atom" and f[1][1][0] != "=":
+        kind, head, body = "relation", f[1][1], f[2]
+    else:
+        return None
+    if head[0] == VAR:
+        return None
+    params = tuple(a[1] for a in head[1:] if a[0] == VAR)
+    if not params or len(set(params)) != len(head) - 1:
+        return None
+    return kind, head[0], params, body
 
 
 def merge_theories(theories):

@@ -40,6 +40,11 @@ def term_vars(t, acc=None):
     return acc
 
 
+def term_symbols(t):
+    """Set of function and constant symbols occurring in a term."""
+    return {s[0] for s in subterms(t) if s[0] != VAR}
+
+
 def term_size(t) -> int:
     """Total number of symbol occurrences (variables included)."""
     if t[0] == VAR:
@@ -367,6 +372,16 @@ def formula_vars(f):
     for atom in formula_atoms(f):
         for t in atom[1:]:
             term_vars(t, acc)
+    return acc
+
+
+def formula_symbols(f):
+    """Set of relation ("=" included) and function symbols of a formula."""
+    acc = set()
+    for atom in formula_atoms(f):
+        acc.add(atom[0])
+        for t in atom[1:]:
+            acc |= term_symbols(t)
     return acc
 
 

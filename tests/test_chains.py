@@ -221,6 +221,8 @@ def test_rendered_chains_reverify():
 
 
 def test_each_single_term_mutation_rejected():
+    # a mutation must be caught where it is made, not by some other link
+    # that fails anyway
     defs = builtin_theory("hoop_defs")
     for name in SPEC_CHAINS:
         record = CORPUS[name]
@@ -233,10 +235,37 @@ def test_each_single_term_mutation_rejected():
                 continue
             text = _chain_to_text(chain, defs, replace_at=i,
                                   replacement=mut)
-            ok = _verify_text(name, text, record.depends_on)
-            assert not ok, "%s line %d mutation accepted" % (name, i + 1)
+            assert _rejected_near(record, parse_chain(text), i), \
+                "%s line %d mutation accepted" % (name, i + 1)
             mutated_any = True
         assert mutated_any, name
+
+
+def _rejected_near(record, chain, i):
+    """True when a link next to term i of chain, or for an end term the
+    entailment check, rejects the chain.  derive links run the prover, so
+    they are tried last."""
+    verifier = chains._Verifier(record.depends_on)
+    raw = [chain[0]] + [entry[0] for entry in chain[1:]]
+    terms = [en(t) for t in raw]
+
+    def link_fails(k):   # the link from term k - 1 to term k
+        _, rel, just = chain[k]
+        try:
+            return not verifier.check_link(terms[k - 1], terms[k], rel, just,
+                                           raw[k - 1], raw[k])
+        except ChainError:
+            return True
+
+    near = [k for k in (i, i + 1) if 1 <= k < len(chain)]
+    if any(link_fails(k) for k in near if chain[k][2].kind != "derive"):
+        return True
+    if i in (0, len(chain) - 1):
+        ok, _ = verifier.entails(record, terms,
+                                 [entry[1] for entry in chain[1:]])
+        if not ok:
+            return True
+    return any(link_fails(k) for k in near if chain[k][2].kind == "derive")
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +287,20 @@ def test_helper_is_not_citable_as_context_free_lemma():
     # verified from its own chain, which itself must check
     ok, why = verify_chain_report("NNSSNN", ())
     assert ok, why
+
+
+def test_lemma_theory():
+    record = CORPUS["SNNNO"]
+    th = chains.lemma_theory(record.depends_on, record.statement)
+    base = builtin_theory("hoop_defs").assumptions
+    assert th.assumptions == base + [CORPUS["NNSSNN"].statement,
+                                     CORPUS["NPJSSO"].statement]
+    assert th.goals == [record.statement]
+    # helpers are named statements too
+    th = chains.lemma_theory(("PNSSNNO",), record.statement)
+    assert len(th.assumptions) == len(base) + 1
+    with pytest.raises(ChainError):
+        chains.lemma_theory(("NNSSNN", "NO_SUCH_LEMMA"), record.statement)
 
 
 def test_verify_chain_accepts_record_objects():

@@ -175,6 +175,20 @@ def test_lemmas_verify_chains_reports_each_lemma_once(monkeypatch):
     assert code == 0
 
 
+def test_lemmas_prove_poses_helper_dependencies(monkeypatch):
+    # NNSSNN depends on the helper PNSSNNO, which is not a corpus lemma
+    posed = []
+    monkeypatch.setattr(cli, "_run_prover",
+                        lambda theory, *rest: posed.append(theory) or 0)
+    code, _ = run("lemmas", "--prove", "NNSSNN")
+    assert code == 0
+    theory, = posed
+    nnssnn = {r.name: r for r in cli.chains.lemma_corpus()}["NNSSNN"]
+    assert theory.goals == [nnssnn.statement]
+    helper = cli.chains.LemmaRecord("PNSSNNO", "x + (x' ~ (x ~ x'')) = 1")
+    assert helper.statement in theory.assumptions
+
+
 def test_usage_errors():
     code, _ = run("enumerate", "--size", "3")
     assert code == 3

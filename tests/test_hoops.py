@@ -3,6 +3,7 @@ linear decomposition, nomenclature."""
 
 import pytest
 
+from hooplab import hoops
 from hooplab.chains import lemma_corpus
 from hooplab.hoops import (
     builtin_theory, decompose_linear, derived_tables, direct_product,
@@ -11,7 +12,7 @@ from hooplab.hoops import (
 )
 from hooplab.model import isomorphic, serialize_model
 from hooplab.search import SearchOptions, enumerate_models
-from hooplab.syntax import parse_formula_text
+from hooplab.syntax import TheoryError, parse_formula_text
 
 
 def test_builtin_theories():
@@ -93,6 +94,35 @@ def test_derived_tables_satisfy_the_definition_files():
             d = derived_tables(h)
             for f in defs.assumptions:
                 assert d.satisfies(f), (n, serialize_model(h))
+
+
+def test_definitions_files_parse_in_order():
+    assert list(hoops.DEFINITIONS) == [">=", "neg", "cup", "cap", "\\",
+                                       "nand"]
+    assert list(hoops.DERIVED_DEFS) == ["neg", "cup", "cap", "\\", "nand"]
+    d = derived_tables(lukasiewicz(2))
+    assert d.function_names() == ["+", "~", "neg", "cup", "cap", "\\",
+                                  "nand"]
+    assert d.relation_names() == [">="]
+
+
+@pytest.mark.parametrize("text", [
+    # an axiom, not a definition
+    'op(500, infix, "+").\nformulas(assumptions).\n'
+    '   x + y = y + x.\nend_of_list.',
+    # the body uses a variable that is not a parameter
+    'formulas(assumptions).\n   f(x) = g(x, y).\nend_of_list.',
+    # a head defined twice
+    'formulas(assumptions).\n   f(x) = x.\n   f(x) = g(x).\nend_of_list.',
+    # a body naming a head defined below it
+    'formulas(assumptions).\n   f(x) = g(x).\n   g(x) = x.\nend_of_list.',
+    # goals have no place in a definitions file
+    'formulas(assumptions).\n   f(x) = x.\nend_of_list.\n'
+    'formulas(goals).\n   f(x) = x.\nend_of_list.',
+])
+def test_malformed_definitions_rejected(text):
+    with pytest.raises(TheoryError):
+        hoops._parse_definitions(text)
 
 
 def _labelled_hoops(n):

@@ -11,7 +11,7 @@ from hooplab.model import (
     FiniteModel, ModelError, deserialize_model, isomorphic, serialize_model,
 )
 from hooplab.search import SearchOptions, enumerate_models
-from hooplab.syntax import Theory, parse_formula_text
+from hooplab.syntax import Theory, parse_formula_text, parse_source
 
 L3 = lukasiewicz(3)
 
@@ -212,3 +212,27 @@ def test_model_validation():
         FiniteModel(2, {"c": 5})
     with pytest.raises(ModelError):
         FiniteModel(2, {}, {"f": ((0, 3), (0, 0))})
+
+
+def test_extend_appends_defined_tables_in_order():
+    th = parse_source("""
+op(500, infix, "~").
+op(500, infix, "cap").
+formulas(assumptions).
+   x' = 1 ~ x.
+   x cap y = x ~ (x ~ y').
+   x >= y <-> y ~ x = 0.
+end_of_list.
+""")
+    defs, _ = th.definitions()
+    m = L3.extend(defs)
+    assert m.function_names() == ["+", "~", "neg", "cap"]
+    assert m.relation_names() == [">="]
+    assert m.fun_tables["neg"] == (2, 1, 0)
+    # cap's body reads neg, computed just before it
+    assert m.fun_tables["cap"][2][2] == 0
+    assert m.rel_tables[">="] == ((True, False, False), (True, True, False),
+                                  (True, True, True))
+    assert L3.function_names() == ["+", "~"]
+    for f in th.assumptions:
+        assert m.satisfies(f)

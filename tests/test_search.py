@@ -1,8 +1,10 @@
 """Model search: counts, isomorphism filtering, limits, determinism."""
 
+import time
+
 import pytest
 
-from hooplab.hoops import builtin_theory, is_hoop, lukasiewicz
+from hooplab.hoops import builtin_theory, derived_tables, is_hoop, lukasiewicz
 from hooplab.model import isomorphic
 from hooplab.search import (
     SearchError, SearchLimit, SearchOptions, count_models, enumerate_models,
@@ -124,3 +126,58 @@ formulas(assumptions).
 end_of_list.
 """)
     assert count_models(th, 2, upto_iso=False) == 0
+
+
+def test_defined_operations_are_computed_not_searched():
+    # hoop_defs is hoop plus definitions: every labelled model is a hoop
+    # with its defined tables, in the searcher's order
+    hoop_defs = builtin_theory("hoop_defs")
+    for n in range(1, 5):
+        got = [m.encode() for m in enumerate_models(hoop_defs,
+                                                    SearchOptions(n))]
+        want = [derived_tables(m).encode()
+                for m in enumerate_models(HOOP, SearchOptions(n))]
+        assert got == want, n
+
+
+def test_defined_operations_up_to_isomorphism():
+    start = time.monotonic()
+    for n in range(1, 6):
+        got = [m.canonical_labeling()[0] for m in enumerate_models(
+            builtin_theory("hoop_defs"), SearchOptions(n, upto_iso=True))]
+        want = [derived_tables(m).canonical_labeling()[0]
+                for m in enumerate_models(HOOP,
+                                          SearchOptions(n, upto_iso=True))]
+        assert got == want, n
+    assert len(got) == 10
+    assert time.monotonic() - start < 60
+
+
+def test_second_definition_of_a_head_is_checked_at_the_leaves():
+    th = parse_source("""
+formulas(assumptions).
+   f(x) = g(x).
+   f(x) = x.
+end_of_list.
+""")
+    models = list(enumerate_models(th, SearchOptions(2)))
+    # g must be the identity, and f is computed from it after the search
+    assert [list(m.fun_tables.items()) for m in models] \
+        == [[("g", (0, 1)), ("f", (0, 1))]]
+
+
+def test_defined_function_in_a_goal():
+    th = parse_source("""
+formulas(assumptions).
+   f(x) = g(g(x)).
+end_of_list.
+formulas(goals).
+   f(x) = x.
+end_of_list.
+""")
+    # counterexamples: the g whose square is not the identity, with f
+    # computed from it
+    found = [list(m.fun_tables.items())
+             for m in enumerate_models(th, SearchOptions(2))]
+    assert found == [[("g", (0, 0)), ("f", (0, 0))],
+                     [("g", (1, 1)), ("f", (1, 1))]]

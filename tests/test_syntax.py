@@ -113,3 +113,76 @@ def test_repeated_declaration_keeps_precedence():
     again = parse_source(two + SEMILATTICE + 'op(500, infix, "+").\n')
     assert again.precedence() == once.precedence()
     assert once.precedence()["+"] < once.precedence()["cup"]
+
+
+def _defined(text):
+    defs, indices = parse_source(text).definitions()
+    return {name: kind for name, (kind, _, _) in defs.items()}, indices
+
+
+def test_definitions_in_file_order():
+    defs, indices = parse_source("""
+op(500, infix, "~").
+op(500, infix, "cup").
+formulas(assumptions).
+   x ~ x = 0.
+   x' = 1 ~ x.
+   x >= y <-> y ~ x = 0.
+   x cup y = x' ~ (y ~ x).
+end_of_list.
+""").definitions()
+    assert list(defs) == ["neg", ">=", "cup"]
+    assert indices == [1, 2, 3]
+    kind, params, body = defs["cup"]
+    assert (kind, params) == ("function", ("x", "y"))
+    assert body == ("~", ("neg", ("V", "x")), ("~", ("V", "y"), ("V", "x")))
+    assert defs[">="][:2] == ("relation", ("x", "y"))
+
+
+def test_definitions_reject_self_reference():
+    assert _defined("""
+formulas(assumptions).
+   f(x) = g(f(x)).
+   x >= y <-> y >= x.
+end_of_list.
+""") == ({}, [])
+
+
+def test_definitions_reject_mutual_reference_to_a_later_head():
+    # f's body names g, which the next formula has as its head; g's body
+    # then names f, which no later formula defines, so g alone is defined
+    # and f stays a searched table
+    assert _defined("""
+formulas(assumptions).
+   f(x) = g(x).
+   g(x) = f(x).
+end_of_list.
+""") == ({"g": "function"}, [1])
+
+
+def test_definitions_reject_body_variable_that_is_no_parameter():
+    assert _defined("""
+formulas(assumptions).
+   f(x) = g(x, y).
+   x >= y <-> z >= y.
+end_of_list.
+""") == ({}, [])
+
+
+def test_definitions_need_distinct_variable_arguments():
+    assert _defined("""
+formulas(assumptions).
+   f(x, x) = x.
+   f(x, a) = x.
+   a = g(a).
+end_of_list.
+""") == ({}, [])
+
+
+def test_definitions_keep_the_first_of_a_repeated_head():
+    assert _defined("""
+formulas(assumptions).
+   f(x) = g(x).
+   f(y) = h(y).
+end_of_list.
+""") == ({"f": "function"}, [0])
