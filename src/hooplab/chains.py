@@ -50,7 +50,7 @@ from importlib import resources
 
 from .terms import ac_normal, substitute, term_vars
 from .hoops import DERIVED_DEFS, MINUS, PLUS, builtin_theory, parse_hoop_term
-from .syntax import Theory
+from .syntax import Theory, parse_formula_text
 
 ZERO = ("0",)
 ONE = ("1",)
@@ -104,16 +104,22 @@ class _Geq:
     """Sound, incomplete decision engine for s >= t on expanded forms.
 
     facts is a tuple of (big, small) pattern pairs; s >= t is accepted if
-    some simultaneous AC-instance of a pair matches (s, t).
+    some simultaneous AC-instance of a pair matches (s, t).  Terms are
+    zero-erased first by base, the fact-free engine: the engines of one
+    verification share one base, so its memos live as long as that
+    verification and no longer.
     """
 
-    def __init__(self, facts=()):
+    def __init__(self, facts=(), base=None):
         self.facts = tuple(facts)
+        self.base = base or (_Geq() if self.facts else self)
         self.memo = {}
         self.active = set()
+        self.zmemo = {}
+        self.zactive = set()
 
     def geq(self, s, t, depth=14):
-        s, t = zreduce(s), zreduce(t)
+        s, t = self.base.zreduce(s), self.base.zreduce(t)
         if depth <= 0:
             return False
         key = (s, t)
@@ -188,6 +194,47 @@ class _Geq:
                     return True
         return False
 
+    # zero-erasure: called on a fact-free base engine
+
+    def zreduce(self, t):
+        """Erase summands (and subtrahends) this engine knows equal 0."""
+        r = self.zmemo.get(t)
+        if r is not None:
+            return r
+        if t in self.zactive:
+            return t
+        self.zactive.add(t)
+        try:
+            r = self._zreduce(t)
+            self.zmemo[t] = r
+        finally:
+            self.zactive.discard(t)
+        return r
+
+    def _zreduce(self, t):
+        if t[0] == VAR or len(t) == 1:
+            return t
+        args = [self.zreduce(a) for a in t[1:]]
+        if t[0] == PLUS:
+            kept = []
+            for a in args:
+                if a != ZERO:
+                    kept.extend(a[1:] if a[0] == PLUS else (a,))
+            r = _mk_sum(kept)
+        elif t[0] == MINUS:
+            a, b = args
+            if b == ZERO:
+                r = a
+            elif a == ZERO:
+                r = ZERO
+            else:
+                r = (MINUS, a, b)
+        else:
+            r = (t[0],) + tuple(args)
+        if r != ZERO and r[0] == MINUS and self.geq(r[2], r[1]):
+            r = ZERO
+        return r
+
 
 def _multiset_contains(sargs, targs):
     pool = list(sargs)
@@ -207,57 +254,10 @@ def _pair_reductions(args):
                 yield _mk_sum(rest + [v[1]])
 
 
-_base = None
-
-
-def _base_geq():
-    global _base
-    if _base is None:
-        _base = _Geq(())
-    return _base
-
-
-# zero-erasure ------------------------------------------------------------
-
-_zmemo = {}
-_zactive = set()
-
-
 def zreduce(t):
-    """Erase summands (and subtrahends) the base engine knows equal 0."""
-    r = _zmemo.get(t)
-    if r is not None:
-        return r
-    if t in _zactive:
-        return t
-    _zactive.add(t)
-    try:
-        if t[0] == VAR or len(t) == 1:
-            r = t
-        else:
-            args = [zreduce(a) for a in t[1:]]
-            if t[0] == PLUS:
-                kept = []
-                for a in args:
-                    if a != ZERO:
-                        kept.extend(a[1:] if a[0] == PLUS else (a,))
-                r = _mk_sum(kept)
-            elif t[0] == MINUS:
-                a, b = args
-                if b == ZERO:
-                    r = a
-                elif a == ZERO:
-                    r = ZERO
-                else:
-                    r = (MINUS, a, b)
-            else:
-                r = (t[0],) + tuple(args)
-            if r != ZERO and r[0] == MINUS and _base_geq().geq(r[2], r[1]):
-                r = ZERO
-        _zmemo[t] = r
-    finally:
-        _zactive.discard(t)
-    return r
+    """Erase summands (and subtrahends) the base engine knows equal 0, with
+    memos that last for this one call."""
+    return _Geq().zreduce(t)
 
 
 # ---------------------------------------------------------------------------
@@ -382,16 +382,9 @@ def rewrites(t, eqs):
 # ---------------------------------------------------------------------------
 # statements, axioms, facts
 
-def _parse_statement(text):
-    for op in (">=", "="):
-        if op in text:
-            lhs, rhs = text.split(op, 1)
-            return ("atom", (op, parse_hoop_term(lhs.strip()),
-                             parse_hoop_term(rhs.strip())))
-    raise ChainError("statement without relation: %r" % text)
-
-
 def _statement_sides(formula):
+    if formula[0] != "atom":
+        raise ChainError("statement is not an equation or an inequality")
     atom = formula[1]
     return atom[0], en(atom[1]), en(atom[2])
 
@@ -440,7 +433,8 @@ class LemmaRecord:
 
     @property
     def statement(self):
-        return _parse_statement(self.statement_text)
+        return parse_formula_text(self.statement_text,
+                                  builtin_theory("hoop_defs"))
 
     @property
     def chain(self):
@@ -618,6 +612,9 @@ class _Verifier:
             rec = _registry()[item] if isinstance(item, str) else item
             self.context[rec.name] = rec
         self.helper_ok = {}
+        # one base engine, and so one zero-erasure memo, per verifier
+        self.base = _Geq()
+        self.zreduce = self.base.zreduce
 
     def available(self, name):
         rec = self.context.get(name)
@@ -646,7 +643,7 @@ class _Verifier:
     def check_link(self, prev, cur, rel, just, prev_raw, cur_raw):
         """prev/cur are expanded forms, *_raw the written terms."""
         if rel == "=":
-            zp, zc = zreduce(prev), zreduce(cur)
+            zp, zc = self.zreduce(prev), self.zreduce(cur)
             if just.kind in ("axiom", "def", "lemma", "base", "ac",
                             "derive") and zp == zc:
                 return True
@@ -658,11 +655,11 @@ class _Verifier:
                         if r in seen:
                             continue
                         seen.add(r)
-                        if zreduce(r) == tgt:
+                        if self.zreduce(r) == tgt:
                             return True
                 return False
             if just.kind in ("base", "ac"):
-                gq = _Geq(())
+                gq = _Geq((), self.base)
                 return gq.geq(prev, cur) and gq.geq(cur, prev)
             if just.kind == "derive":
                 for name in just.refs:
@@ -672,7 +669,7 @@ class _Verifier:
         # inequality links
         if just.kind not in ("base", "mono", "res"):
             return False
-        gq = _Geq(self.facts_for(just.refs))
+        gq = _Geq(self.facts_for(just.refs), self.base)
         if rel == ">=":
             return gq.geq(prev, cur)
         return gq.geq(cur, prev)
@@ -700,8 +697,8 @@ class _Verifier:
 
     def entails(self, record, terms, rels):
         rel_claim, lhs, rhs = _statement_sides(record.statement)
-        zl, zr_ = zreduce(lhs), zreduce(rhs)
-        zterms = [zreduce(t) for t in terms]
+        zl, zr_ = self.zreduce(lhs), self.zreduce(rhs)
+        zterms = [self.zreduce(t) for t in terms]
         kinds = set(rels)
         up = "<=" not in kinds      # chain proves terms[0] >= terms[-1]
         down = ">=" not in kinds    # chain proves terms[0] <= terms[-1]
@@ -724,7 +721,7 @@ class _Verifier:
         # the chain gives one direction; the converse must be immediate
         big, small = (rhs, lhs) if (fwd and up) or (bwd and down) \
             else (lhs, rhs)
-        gq = _Geq(self.facts_for(self.context.keys()))
+        gq = _Geq(self.facts_for(self.context.keys()), self.base)
         if gq.geq(big, small):
             return True, "ok"
         if self._swap_symmetric(lhs, rhs):

@@ -20,13 +20,14 @@ verify_proof and the proof text format in the README.
 from __future__ import annotations
 
 import heapq
+import re
 import time
 from itertools import count
 
 from .terms import (GREATER, INCOMPARABLE, LESS, VAR, ac_normal,
                     canonical_clause, clause_weight, clausify, is_tautology,
                     lpo_gt, match, rename_apart, replace_at, substitute,
-                    substitute_clause, subterm_at, subterm_patterns,
+                    substitute_clause, subterm_patterns,
                     subterms, term_size, unify)
 
 EMPTY = ()
@@ -83,18 +84,7 @@ class ProofStep:
         self.formula = formula  # only for the goal step
 
     def antecedents(self):
-        out = []
-        for op in self.justification:
-            kind = op[0]
-            if kind in ("deny", "copy"):
-                out.append(op[1])
-            elif kind in ("para", "resolve"):
-                out.extend((op[1], op[3]))
-            elif kind == "factor":
-                out.append(op[1])
-            elif kind == "rewrite":
-                out.extend(e[0] for e in op[1])
-        return out
+        return [i for op in self.justification for i in _cited(op)]
 
 
 class Proof:
@@ -210,6 +200,23 @@ def _subsumes(c, d):
     return go(0, {})
 
 
+def _literal(clause, li):
+    if not 0 <= li < len(clause):
+        raise ProverError("literal %d out of range" % li)
+    return clause[li]
+
+
+def _position(atom, path):
+    """(atom-argument index, 0-based term path, subterm) at a proof path."""
+    t = atom
+    for p in path:
+        if t[0] == VAR or not 1 <= p < len(t):
+            raise ProverError("path %s out of range"
+                              % ".".join(map(str, path)))
+        t = t[p]
+    return path[0], tuple(p - 1 for p in path[1:]), t
+
+
 def _apply_rewrite(clause, entry, demod_clause, prec=None):
     """Apply one recorded rewrite; with prec given, insist the step is
     ordering-decreasing."""
@@ -220,9 +227,8 @@ def _apply_rewrite(clause, entry, demod_clause, prec=None):
                           % did)
     _, s, t = rename_apart(demod_clause, 999998)[0][1]
     lhs, rhs = (s, t) if side == "l" else (t, s)
-    pol, atom = clause[li]
-    ai, tpath = path[0], tuple(p - 1 for p in path[1:])
-    sub = subterm_at(atom[ai], tpath)
+    pol, atom = _literal(clause, li)
+    ai, tpath, sub = _position(atom, path)
     b = match(lhs, sub)
     if b is None:
         raise ProverError("demodulator %d does not match" % did)
@@ -245,7 +251,7 @@ def _apply_secondary(clause, ops, get_clause, prec=None):
             clause = _dedup(clause)
         elif kind == "xx":
             li = op[1]
-            pol, atom = clause[li]
+            pol, atom = _literal(clause, li)
             if pol or atom[0] != "=":
                 raise ProverError("xx needs a negative equation")
             b = unify(atom[1], atom[2])
@@ -255,7 +261,7 @@ def _apply_secondary(clause, ops, get_clause, prec=None):
                 clause[:li] + clause[li + 1:], b))
         elif kind == "flip":
             li = op[1]
-            pol, atom = clause[li]
+            pol, atom = _literal(clause, li)
             if atom[0] != "=":
                 raise ProverError("flip needs an equation")
             clause = (clause[:li] + ((pol, (atom[0], atom[2], atom[1])),)
@@ -278,9 +284,8 @@ def _apply_primary(op, get_clause):
         _, s, t = from_cl[0][1]
         lhs, rhs = (s, t) if side == "l" else (t, s)
         into_cl = get_clause(into_id)
-        pol, atom = into_cl[li]
-        ai, tpath = path[0], tuple(p - 1 for p in path[1:])
-        sub = subterm_at(atom[ai], tpath)
+        pol, atom = _literal(into_cl, li)
+        ai, tpath, sub = _position(atom, path)
         if sub[0] == VAR:
             raise ProverError("paramodulation into a variable")
         b = unify(lhs, sub)
@@ -295,7 +300,7 @@ def _apply_primary(op, get_clause):
         _, id1, li1, id2, li2 = op
         c1 = get_clause(id1)
         c2 = rename_apart(get_clause(id2), 999999)
-        (p1, a1), (p2, a2) = c1[li1], c2[li2]
+        (p1, a1), (p2, a2) = _literal(c1, li1), _literal(c2, li2)
         if p1 == p2 or a1[0] != a2[0]:
             raise ProverError("resolved literals are not complementary")
         b = unify(a1, a2)
@@ -306,7 +311,9 @@ def _apply_primary(op, get_clause):
     if kind == "factor":
         _, sid, li1, li2 = op
         c = get_clause(sid)
-        (p1, a1), (p2, a2) = c[li1], c[li2]
+        (p1, a1), (p2, a2) = _literal(c, li1), _literal(c, li2)
+        if li1 == li2:
+            raise ProverError("factor needs two distinct literals")
         if p1 != p2 or a1[0] != a2[0]:
             raise ProverError("factored literals disagree")
         b = unify(a1, a2)
@@ -1026,7 +1033,8 @@ def prove(theory, limits: ProverLimits = None, should_stop=None) -> Outcome:
 # verification
 
 def verify_proof(theory, proof: Proof):
-    """Independently re-derive every step.  Returns (ok, report)."""
+    """Independently re-derive every step.  Returns (ok, report); a
+    malformed justification or clause is reported, never raised."""
     if not proof.steps or proof.steps[-1].clause != EMPTY:
         return False, "proof does not end in the empty clause"
     prec = _Prec(theory.precedence())
@@ -1040,6 +1048,9 @@ def verify_proof(theory, proof: Proof):
         return by_id[i].clause
 
     for step in proof.steps:
+        if not step.justification or not all(
+                map(_well_formed, step.justification)):
+            return False, "step %d: malformed justification" % step.id
         for a in step.antecedents():
             if a >= step.id:
                 return False, "step %d cites a later step %d" % (step.id, a)
@@ -1077,7 +1088,9 @@ def verify_proof(theory, proof: Proof):
                         canonical_clause(step.clause):
                     return False, ("step %d: stated clause does not match "
                                    "the re-derived one" % step.id)
-        except (ProverError, KeyError, IndexError) as e:
+        except (LookupError, TypeError, ValueError) as e:
+            # ProverError is a ValueError; the others come from steps
+            # whose clauses are malformed
             return False, "step %d: %s" % (step.id, e)
         by_id[step.id] = step
     return True, "ok"
@@ -1089,20 +1102,12 @@ def verify_proof(theory, proof: Proof):
 def _remap_ops(just, mapping):
     out = []
     for op in just:
-        kind = op[0]
-        if kind in ("deny", "copy"):
-            out.append((kind, mapping[op[1]]))
-        elif kind == "para":
-            out.append((kind, mapping[op[1]], op[2], mapping[op[3]],
-                        op[4], op[5]))
-        elif kind == "resolve":
-            out.append((kind, mapping[op[1]], op[2], mapping[op[3]], op[4]))
-        elif kind == "factor":
-            out.append((kind, mapping[op[1]], op[2], op[3]))
-        elif kind == "rewrite":
-            out.append((kind, [(mapping[e[0]],) + e[1:] for e in op[1]]))
+        if op[0] == "rewrite":
+            out.append(("rewrite", [(mapping[e[0]],) + e[1:] for e in op[1]]))
         else:
-            out.append(op)
+            out.append(op[:1] + tuple(
+                mapping[v] if f == "d" else v
+                for v, f in zip(op[1:], _OP_FIELDS[op[0]])))
     return out
 
 
@@ -1205,28 +1210,43 @@ def mine_patterns(proof: Proof, min_count: int = 2, min_size: int = 3):
 # shows the goal formula and carries "# label(non_clause) # label(goal)"
 # before its period.  Lines starting with "# " are metadata.
 
+# Proof operations and their fields after the kind: d a cited step id and
+# l a 0-based literal index (non-negative integers), s the side of a unit
+# equation used as left-hand side (l or r), p a path of 1-based argument
+# indices.  rewrite has one field, a list of entries ID(LIT,PATH,SIDE).
+_OP_FIELDS = {"goal": "", "assumption": "", "deny": "d", "copy": "d",
+              "xx": "l", "flip": "l", "para": "dsdlp", "resolve": "dldl",
+              "factor": "dll", "rewrite": "w"}
+_REWRITE_FIELDS = "dlps"
+_FIELD_RES = {"d": "[0-9]+", "l": "[0-9]+", "s": "[lr]",
+              "p": r"[1-9][0-9]*(\.[1-9][0-9]*)*"}
+
+
+def _cited(op):
+    """The step ids that a well-formed operation cites."""
+    if op[0] == "rewrite":
+        return [e[0] for e in op[1]]
+    return [v for v, f in zip(op[1:], _OP_FIELDS[op[0]]) if f == "d"]
+
+
 def _render_op(op):
     kind = op[0]
-    if kind in ("goal", "assumption"):
-        return kind
-    if kind in ("deny", "copy"):
-        return "%s(%d)" % (kind, op[1])
-    if kind == "para":
-        return "para(%d,%s,%d,%d,%s)" % (
-            op[1], op[2], op[3], op[4], ".".join(str(i) for i in op[5]))
-    if kind == "resolve":
-        return "resolve(%d,%d,%d,%d)" % op[1:]
-    if kind == "factor":
-        return "factor(%d,%d,%d)" % op[1:]
     if kind == "rewrite":
-        entries = ",".join("%d(%d,%s,%s)"
-                           % (e[0], e[1], ".".join(str(i) for i in e[2]),
-                              e[3])
-                           for e in op[1])
-        return "rewrite([%s])" % entries
-    if kind in ("xx", "flip"):
-        return "%s(%d)" % (kind, op[1])
-    raise ProverError("unknown proof operation %r" % (op,))
+        args = ["[%s]" % ",".join("%d(%d,%s,%s)" % (
+            e[0], e[1], ".".join(map(str, e[2])), e[3]) for e in op[1])]
+    else:
+        args = [".".join(map(str, v)) if f == "p" else str(v)
+                for v, f in zip(op[1:], _OP_FIELDS[kind])]
+    return "%s(%s)" % (kind, ",".join(args)) if args else kind
+
+
+def _well_formed(op):
+    """Whether op fits the field rules: it must come back from its own text
+    form unchanged, down to the types of its fields (hence repr)."""
+    try:
+        return repr(_parse_op(_render_op(op))) == repr(op)
+    except (ProverError, LookupError, TypeError):
+        return False
 
 
 def _render_clause(clause, theory):
@@ -1271,39 +1291,36 @@ def _split_args(text):
     return [p.strip() for p in parts]
 
 
+def _parse_fields(texts, spec, what):
+    if len(texts) != len(spec) or not all(
+            re.fullmatch(_FIELD_RES[f], t) for f, t in zip(spec, texts)):
+        raise ProverError("malformed proof operation %r" % what)
+    return tuple(t if f == "s" else _parse_path(t) if f == "p" else int(t)
+                 for f, t in zip(spec, texts))
+
+
 def _parse_path(text):
-    return tuple(int(p) for p in text.split(".") if p != "")
+    return tuple(int(p) for p in text.split("."))
 
 
 def _parse_op(text):
-    text = text.strip()
-    if "(" not in text:
-        if text in ("goal", "assumption"):
-            return (text,)
-        raise ProverError("bad proof operation %r" % text)
-    kind, inner = text[:-1].split("(", 1)
-    if kind in ("deny", "copy", "xx", "flip"):
-        return (kind, int(inner))
-    args = _split_args(inner)
-    if kind == "para":
-        return ("para", int(args[0]), args[1], int(args[2]), int(args[3]),
-                _parse_path(args[4]))
-    if kind == "resolve":
-        return ("resolve",) + tuple(int(a) for a in args)
-    if kind == "factor":
-        return ("factor",) + tuple(int(a) for a in args)
-    if kind == "rewrite":
-        if not (inner.startswith("[") and inner.endswith("]")):
-            raise ProverError("bad rewrite list %r" % inner)
-        entries = []
-        for e in _split_args(inner[1:-1]):
-            if not e:
-                continue
-            eid, rest = e[:-1].split("(", 1)
-            lit, path, side = _split_args(rest)
-            entries.append((int(eid), int(lit), _parse_path(path), side))
-        return ("rewrite", entries)
-    raise ProverError("unknown proof operation %r" % text)
+    m = _CALL_RE.fullmatch(text.strip())
+    spec = _OP_FIELDS.get(m.group(1)) if m else None
+    if spec is None:
+        raise ProverError("unknown proof operation %r" % text)
+    args = [] if m.group(2) is None else _split_args(m.group(2))
+    if spec != "w":
+        return (m.group(1),) + _parse_fields(args, spec, text)
+    if len(args) != 1 or args[0][:1] != "[" or args[0][-1:] != "]":
+        raise ProverError("bad rewrite list %r" % text)
+    entries = []
+    for e in _split_args(args[0][1:-1]):
+        em = _CALL_RE.fullmatch(e)
+        if em is None or em.group(2) is None:
+            raise ProverError("malformed rewrite entry %r" % e)
+        entries.append(_parse_fields([em.group(1)] + _split_args(em.group(2)),
+                                     _REWRITE_FIELDS, e))
+    return ("rewrite", entries)
 
 
 def _parse_clause_text(text, theory):
@@ -1323,10 +1340,9 @@ def _parse_clause_text(text, theory):
     return tuple(lits)
 
 
-import re as _re
-
-_STEP_RE = _re.compile(r"^(\d+)\s+(.*?)\.\s+\[(.*)\]\.\s*$")
-_LABEL_RE = _re.compile(r"\s*#\s*label\(\w+\)")
+_STEP_RE = re.compile(r"^(\d+)\s+(.*?)\.\s+\[(.*)\]\.\s*$")
+_LABEL_RE = re.compile(r"\s*#\s*label\(\w+\)")
+_CALL_RE = re.compile(r"(\w+)(?:\((.*)\))?", re.S)
 
 
 def parse_proof(text: str, theory) -> Proof:

@@ -2,9 +2,12 @@
 
 Table cells are assigned in a fixed order (constants, then function tables by
 arity, same-arity tables interleaved position by position,
-then relation tables).  Assumptions are compiled to ground
-instances; each instance watches the cell its evaluation is currently blocked
-on and is re-checked when that cell gets a value, pruning on violation.
+then relation tables).  Every ground instance of an assumption clause is
+compiled to a generated Python checker over the cell values (_compile).  It
+answers satisfied, conflict, the cell its evaluation is blocked on, or the
+value unit propagation forces into a cell.  Each instance watches the cell
+it is blocked on and is re-checked when that cell gets a value; conflicts
+prune the branch and forced values are assigned at once.
 
 Goals put the search in counterexample mode: emitted models must falsify at
 least one goal.  Functions and relations that an assumption defines (see
@@ -41,6 +44,10 @@ class SearchOptions:
                  max_seconds=None):
         if size < 1:
             raise SearchError("size must be >= 1")
+        if max_models is not None and max_models < 0:
+            raise SearchError("max_models must be >= 0")
+        if max_seconds is not None and max_seconds <= 0:
+            raise SearchError("max_seconds must be positive")
         self.size = size
         self.upto_iso = upto_iso
         self.max_models = max_models
@@ -109,51 +116,19 @@ class _Searcher:
             else:
                 clauses.extend(clausify(f, "assumption"))
         self.force_mult = max(self.n, 2)
-        self.instances = self._ground_instances(clauses)
-        self.checkers = self._codegen(self.instances)
+        self.checkers = self._compile(clauses)
 
-    # ---- compilation to flat postfix programs
-    # opcodes: (0, element) push constant; (1, cell) push table value;
-    # (2, base, weights) pop len(weights) args, push value of that cell.
+    def _compile(self, clauses):
+        """Compile every ground instance of clauses to a checker function.
 
-    def _emit(self, t, env, prog):
-        if t[0] == VAR:
-            prog.append((0, env[t[1]]))
-            return
-        name, args = t[0], t[1:]
-        if not args:
-            prog.append((1, self.base[name]))
-            return
-        for a in args:
-            self._emit(a, env, prog)
-        prog.append(self._lookup(name, len(args)))
-
-    def _lookup(self, name, k):
-        """The opcode that pops k arguments and pushes name's value."""
-        return (2, self.base[name],
-                tuple(self.n ** (k - 1 - i) for i in range(k)))
-
-    def _ground_instances(self, clauses):
-        out = []
-        for clause in clauses:
-            names = sorted({v for _, a in clause for t in a[1:]
-                            for v in term_vars(t)})
-            for values in product(range(self.n), repeat=len(names)):
-                env = dict(zip(names, values))
-                lits = []
-                for pol, atom in clause:
-                    prog = []
-                    for t in atom[1:]:
-                        self._emit(t, env, prog)
-                    if atom[0] != "=":
-                        prog.append(self._lookup(atom[0], len(atom) - 1))
-                    # equality leaves two stack values, a relation one
-                    lits.append((pol, atom[0] == "=", tuple(prog)))
-                out.append(tuple(lits))
-        return out
-
-    def _codegen(self, instances):
-        """Compile every ground instance to a checker function.
+        An instance is a clause with an element substituted for each of its
+        variables.  Its checker is generated in one post-order walk over
+        each literal's terms: every table lookup becomes ``tK = vals[cell]``,
+        with the cell index folded to a number when all arguments are
+        elements and computed into ``cK`` otherwise.  An unassigned lookup
+        counts in ``nb``, the first such cell goes to ``b``, and the rest of
+        its literal is skipped; a literal whose lookups all succeed is
+        evaluated, and a true one returns at once.
 
         checker(vals) -> -2 satisfied, -1 conflict, a cell id >= 0 the
         evaluation is blocked on, or <= -10 encoding a forced value:
@@ -161,87 +136,76 @@ class _Searcher:
         A value is forced by unit propagation: every other literal of the
         instance is false and the remaining literal's only unknown is its
         last table lookup (for a positive equality the forced value is the
-        other side; for a relation literal it is the required truth value).
-        Cell indices with constant arguments are folded at compile time, so
-        flat axiom instances become direct table lookups.
+        other side; for a relation literal it is the required truth value,
+        1 or 0).
         """
-        mult = self.force_mult
+        n, mult, base = self.n, self.force_mult, self.base
         lines = []
 
-        def put(depth, text):
+        def put(text):
             lines.append("    " * depth + text)
 
-        for i, inst in enumerate(instances):
-            put(0, "def chk%d(vals):" % i)
-            put(1, "b = -1")
-            put(1, "nb = 0")
-            put(1, "f = -1")
-            tmp = 0
-            for pol, is_eq, prog in inst:
-                last_lookup = max((j for j, op in enumerate(prog)
-                                   if op[0] != 0), default=None)
-                depth = 1
-                stack = []
-                for j, op in enumerate(prog):
-                    if op[0] == 0:
-                        stack.append(str(op[1]))
+        def lookup(name, args, forced=None):
+            # one table lookup; code after it runs only when it succeeded
+            nonlocal depth, tmp
+            weights = [n ** (len(args) - 1 - i) for i in range(len(args))]
+            if all(a.isdigit() for a in args):
+                cell = str(base[name] + sum(
+                    w * int(a) for w, a in zip(weights, args)))
+            else:
+                cell = "c%d" % tmp
+                put("%s = %s" % (cell, " + ".join([str(base[name])] + [
+                    a if w == 1 else "%d*%s" % (w, a)
+                    for w, a in zip(weights, args)])))
+            t = "t%d" % tmp
+            tmp += 1
+            put("%s = vals[%s]" % (t, cell))
+            put("if %s is None:" % t)
+            put("    nb += 1")
+            if forced is not None:
+                put("    if nb == 1: f = %s * %d + %s" % (cell, mult, forced))
+            put("    if b < 0: b = %s" % cell)
+            put("else:")
+            depth += 1
+            return t
+
+        def term(t, forced=None):
+            # post-order: the arguments' lookups come before the root's
+            if t[0] == VAR:
+                return str(env[t[1]])
+            return lookup(t[0], [term(a) for a in t[1:]], forced)
+
+        count = 0
+        for clause in clauses:
+            names = sorted({v for _, a in clause for t in a[1:]
+                            for v in term_vars(t)})
+            for values in product(range(n), repeat=len(names)):
+                env = dict(zip(names, values))
+                lines += ["def chk%d(vals):" % count,
+                          "    b = -1", "    nb = 0", "    f = -1"]
+                count += 1
+                tmp = 0
+                for pol, atom in clause:
+                    depth = 1
+                    if atom[0] != "=":
+                        cond = lookup(atom[0], [term(a) for a in atom[1:]],
+                                      "1" if pol else "0")
+                    elif atom[2][0] == VAR:
+                        # the last lookup, if any, is the left side's root
+                        rhs = str(env[atom[2][1]])
+                        cond = "%s == %s" % (
+                            term(atom[1], rhs if pol else None), rhs)
                     else:
-                        if op[0] == 1:
-                            cell = str(op[1])
-                        else:
-                            _, base, weights = op
-                            k = len(weights)
-                            args = stack[-k:]
-                            del stack[-k:]
-                            if all(a.isdigit() for a in args):
-                                cell = str(base + sum(
-                                    w * int(a)
-                                    for w, a in zip(weights, args)))
-                            else:
-                                terms = [str(base)] + [
-                                    a if w == 1 else "%d*%s" % (w, a)
-                                    for w, a in zip(weights, args)]
-                                cell = "c%d" % tmp
-                                put(depth, "%s = %s" % (
-                                    cell, " + ".join(terms)))
-                        t = "t%d" % tmp
-                        tmp += 1
-                        put(depth, "%s = vals[%s]" % (t, cell))
-                        put(depth, "if %s is None:" % t)
-                        forced = None
-                        if j == last_lookup:
-                            # remaining ops are pushes with static strings;
-                            # reaching here means every earlier lookup
-                            # succeeded, so the rest of the literal is known
-                            rest = [str(o[1]) for o in prog[j + 1:]]
-                            if is_eq:
-                                if pol:
-                                    pair = stack + [t] + rest
-                                    other = (pair[0] if pair[1] == t
-                                             else pair[1])
-                                    forced = other
-                            else:
-                                forced = "1" if pol else "0"
-                        put(depth + 1, "nb += 1")
-                        if forced is not None:
-                            put(depth + 1, "if nb == 1: f = %s * %d + %s"
-                                % (cell, mult, forced))
-                        put(depth + 1, "if b < 0: b = %s" % cell)
-                        put(depth, "else:")
-                        depth += 1
-                        stack.append(t)
-                if is_eq:
-                    cond = "%s == %s" % (stack[0], stack[1])
-                else:
-                    cond = stack[0]
-                put(depth, "if %s%s: return -2"
-                    % ("" if pol else "not ", cond))
-            put(1, "if nb == 0: return -1")
-            put(1, "if nb == 1 and f >= 0: return -10 - f")
-            put(1, "return b")
+                        lhs = term(atom[1])
+                        cond = "%s == %s" % (
+                            lhs, term(atom[2], lhs if pol else None))
+                    put("if %s%s: return -2" % ("" if pol else "not ", cond))
+                lines += ["    if nb == 0: return -1",
+                          "    if nb == 1 and f >= 0: return -10 - f",
+                          "    return b"]
         ns = {}
         exec("\n".join(lines), ns)  # noqa: S102 - generated from terms only
-        return [ns["chk%d" % i] for i in range(len(instances))]
+        return [ns["chk%d" % i] for i in range(count)]
 
     # ---- search
 
@@ -250,7 +214,7 @@ class _Searcher:
         vals = [None] * self.cell_count
         watch = [[] for _ in range(self.cell_count)]
         self.era = [0] * self.cell_count
-        self.sat_token = [None] * len(self.instances)
+        self.sat_token = [None] * len(self.checkers)
         mult = self.force_mult
 
         # initial pass: register watches; values dictated by variable-free

@@ -306,3 +306,18 @@ def test_lemma_theory():
 def test_verify_chain_accepts_record_objects():
     rec = CORPUS["MPS"]
     assert verify_chain(rec, ())
+
+
+def test_each_verifier_has_its_own_memos():
+    v = chains._Verifier(())
+    assert v.verify(CORPUS["AA"]) == (True, "ok")
+    assert v.base.zmemo
+    assert chains._Verifier(()).base.zmemo == {}
+
+
+def test_statements_parse_as_formulas():
+    def statement(text):
+        return chains.LemmaRecord("T", text).statement
+
+    assert statement("y <= x + y") == statement("x + y >= y")
+    assert statement("x != y") == ("not", statement("x = y"))

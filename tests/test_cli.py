@@ -103,6 +103,14 @@ def test_verify_rejects_tampering(tmp_path):
     assert out.splitlines()[0] == "PROOF REJECTED"
 
 
+def test_verify_malformed_proof_is_unreadable(tmp_path):
+    proof = tmp_path / "p.txt"
+    proof.write_text("1 $F.  [resolve(4,0)].\n")
+    code, out = run("verify", "--proof", str(proof),
+                    "-f", data("semilattice.ax"), data("sl-pr1.gl"))
+    assert code == 3
+
+
 def test_mine(tmp_path):
     proof = tmp_path / "p.txt"
     run("prove", "-f", data("hoop.ax"), data("hoop-ax6.gl"),

@@ -1,16 +1,26 @@
 """Saturation prover: outcomes, proof objects, verification, transforms,
 text format, mining."""
 
+import os
+
 import pytest
 
 from hooplab.hoops import builtin_theory
 from hooplab.saturate import (
-    ProverError, ProverLimits, mine_patterns, parse_proof, prove,
-    render_proof, transform_proof, verify_proof,
+    Proof, ProofStep, ProverError, ProverLimits, mine_patterns, parse_proof,
+    prove, render_proof, transform_proof, verify_proof,
 )
 from hooplab.syntax import Theory, parse_formula_text, parse_source
+from hooplab.terms import canonical_clause
 
 SL = builtin_theory("semilattice")
+DATA = os.path.join(os.path.dirname(__file__), os.pardir, "src", "hooplab",
+                    "data")
+
+
+def data_theory(*names):
+    return parse_source("\n".join(open(os.path.join(DATA, n)).read()
+                                  for n in names))
 
 
 def with_goal(base, text):
@@ -57,25 +67,132 @@ def test_bad_limits_rejected():
         ProverLimits(max_seconds=-1)
 
 
+# the fields of each operation after its kind: d a cited step id, l a
+# literal index, s a side, p a path; rewrite entries are (d, l, p, s)
+_FIELD_ROLES = {"deny": "d", "copy": "d", "xx": "l", "flip": "l",
+                "para": "dsdlp", "resolve": "dldl", "factor": "dll"}
+
+
+def _field_mutants(fields, roles, earlier):
+    """(category, fields with one field changed): a step id to each other
+    earlier id, a literal index or a path entry + 1, a side swapped."""
+    for k, (v, role) in enumerate(zip(fields, roles)):
+        if role == "d":
+            news = [("id", e) for e in earlier if e != v]
+        elif role == "l":
+            news = [("lit", v + 1)]
+        elif role == "s":
+            news = [("side", "r" if v == "l" else "l")]
+        else:
+            news = [("path", v[:j] + (v[j] + 1,) + v[j + 1:])
+                    for j in range(len(v))]
+        for cat, new in news:
+            yield cat, fields[:k] + (new,) + fields[k + 1:]
+
+
+def _op_mutants(op, earlier):
+    """(category, mutated op, equation it applies or None)."""
+    if op[0] == "rewrite":
+        entries = op[1]
+        for i, entry in enumerate(entries):
+            for cat, new in _field_mutants(entry, "dlps", earlier):
+                yield (cat, ("rewrite", entries[:i] + [new] + entries[i + 1:]),
+                       entry[0])
+    elif op[0] in _FIELD_ROLES:
+        for cat, new in _field_mutants(op[1:], _FIELD_ROLES[op[0]], earlier):
+            yield cat, op[:1] + new, op[1] if op[0] == "para" else None
+
+
+def _flip_symmetric(clause):
+    """Whether a unit equation s = t is a variant of t = s."""
+    (pol, (_, s, t)), = clause
+    return canonical_clause(((pol, ("=", s, t)),)) \
+        == canonical_clause(((pol, ("=", t, s)),))
+
+
 def test_verify_rejects_mutations():
+    """Every cited step id changed to another earlier one, every literal
+    index and path entry raised by one, and every side swapped is rejected
+    with a step report.  The one exception is a side swap on an equation
+    whose sides are variants (x + y = y + x): both directions give the
+    same rewrite."""
+    tried = {}
+    for files in (("semilattice.ax", "sl-pr1.gl"),
+                  ("semilattice.ax", "sl-ge-def.ax", "sl-trans.gl"),
+                  ("hoop.ax", "hoop-ge-def.ax", "hp-plus-mono.gl"),
+                  ("hoop.ax", "hoop-ge-def.ax", "hp-sum-lemma.gl")):
+        th = data_theory(*files)
+        out = prove(th, ProverLimits(max_given=70))
+        assert out.status == "proved", files[-1]
+        steps = out.proof.steps
+        by_id = out.proof.step_map()
+        for si, step in enumerate(steps):
+            earlier = [s.id for s in steps[:si]]
+            for oi, op in enumerate(step.justification):
+                for cat, new, eq in _op_mutants(op, earlier):
+                    just = list(step.justification)
+                    just[oi] = new
+                    broken = Proof(steps[:si] + [ProofStep(
+                        step.id, step.clause, just, step.formula)]
+                        + steps[si + 1:])
+                    ok, report = verify_proof(th, broken)
+                    tried[cat, ok] = tried.get((cat, ok), 0) + 1
+                    if ok:
+                        assert cat == "side" and _flip_symmetric(
+                            by_id[eq].clause), (files[-1], step.id, new)
+                    else:
+                        assert report.startswith("step %d" % step.id)
+    assert {cat for cat, ok in tried if not ok} \
+        == {"id", "lit", "path", "side"}
+
+
+def test_verify_rejects_malformed_proof_objects():
     th = with_goal(SL, "x cup (x cup x) = x")
     proof = prove(th, ProverLimits(max_seconds=30)).proof
-    for i, step in enumerate(proof.steps):
-        if step.clause:
-            (pol, atom) = step.clause[0]
-            mutated = ((pol, (atom[0], atom[2], atom[1])),) \
-                + step.clause[1:]
-            if mutated == step.clause:
-                continue
-            broken = type(proof)(list(proof.steps))
-            broken.steps[i] = type(step)(step.id, mutated,
-                                         step.justification)
-            ok, report = verify_proof(th, broken)
-            # a flipped equation may be harmless; a genuinely different
-            # clause must be rejected with a step report
-            if not ok:
-                assert "step" in report
-            break
+    last = proof.steps[-1]
+    for just in ([], [("resolve", 4, 0)], [("factor", 5)],
+                 [("copy", -1)], [("para", 4, "q", 3, 0, (1,))],
+                 [("para", 4, "l", 3, 0, ())], [("rewrite", [(4, 0)])],
+                 [("copy", 4), ("xx", "0")], [("frobnicate", 4)]):
+        broken = Proof(proof.steps[:-1] + [ProofStep(last.id, (), just)])
+        assert verify_proof(th, broken) == (
+            False, "step %d: malformed justification" % last.id)
+    # literal indices and paths out of range for the cited clause
+    # (4 x cup x = x, 5 c1 cup (c1 cup c1) != c1)
+    for just in ([("copy", 5), ("xx", 7)], [("factor", 5, 0, 9)],
+                 [("copy", 5), ("rewrite", [(4, 3, (1,), "l")])],
+                 [("para", 4, "l", 5, 0, (1, 5))],
+                 [("para", 4, "l", 5, 0, (1, 1, 1))]):
+        ok, report = verify_proof(th, Proof(
+            proof.steps[:-1] + [ProofStep(last.id, (), just)]))
+        assert not ok and report.startswith("step %d: " % last.id)
+        assert "out of range" in report
+    # malformed stated clauses
+    for clause in (None, ((True,),), 5):
+        ok, report = verify_proof(th, Proof(proof.steps[:-2] + [
+            ProofStep(5, clause, [("deny", 1)]), last]))
+        assert not ok and report.startswith("step 5: ")
+
+
+def test_verify_rejects_factor_of_one_literal():
+    # factoring a literal with itself would drop it: this "proves" c = d
+    # from a = b | c = d
+    th = parse_source("""
+formulas(assumptions).
+   a = b | c = d.
+end_of_list.
+formulas(goals).
+   c = d.
+end_of_list.
+""")
+    proof = parse_proof("""1 c = d # label(non_clause) # label(goal).  [goal].
+2 c != d.  [deny(1)].
+3 a = b | c = d.  [assumption].
+4 c = d.  [factor(3,0,0)].
+5 $F.  [resolve(4,0,2,0)].
+""", th)
+    assert verify_proof(th, proof) == (
+        False, "step 4: factor needs two distinct literals")
 
 
 def test_transform_renumber():
@@ -111,8 +228,21 @@ def test_proof_text_roundtrip():
 
 
 def test_parse_proof_rejects_garbage():
-    with pytest.raises(ProverError):
-        parse_proof("1 nonsense without a period", SL)
+    for text in ("1 nonsense without a period",
+                 "5 $F.  [para(4,l,5)].",              # too few fields
+                 "5 $F.  [resolve(4,0)].",
+                 "5 $F.  [factor(5)].",
+                 "5 $F.  [copy(4,5)].",                # too many
+                 "5 $F.  [rewrite([4(0,1)])].",
+                 "5 $F.  [para(4,q,3,0,1)].",          # side neither l nor r
+                 "5 $F.  [rewrite([4(0,1,x)])].",
+                 "5 $F.  [copy(-1)].",                 # negative number
+                 "5 $F.  [copy(4),xx(a)].",            # not a number
+                 "5 $F.  [para(4,l,3,0,1.0)].",        # path entry 0
+                 "5 $F.  [para(4,l,3,0,)].",           # empty path
+                 "5 $F.  [copy(4]."):
+        with pytest.raises(ProverError):
+            parse_proof(text, SL)
 
 
 def test_determinism():

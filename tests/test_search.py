@@ -114,8 +114,11 @@ def test_disjunctive_constraint():
 
 
 def test_bad_size_rejected():
-    with pytest.raises(SearchError):
-        SearchOptions(0)
+    for kwargs in ({}, {"max_models": -1}, {"max_seconds": 0},
+                   {"max_seconds": -1}):
+        with pytest.raises(SearchError):
+            SearchOptions(0 if not kwargs else 3, **kwargs)
+    SearchOptions(3, max_models=0)
 
 
 def test_unsat_theory_has_no_models():
