@@ -35,10 +35,11 @@ Justification forms:
     the relation is derivable by the engine; ``mono(NAME,...)`` makes the
     cited statements available as extra facts.
 ``derive(NAME,...)``
-    last resort for a genuinely deep equality: a run of the saturation
-    prover from the hoop axioms plus the cited lemmas, bounded by a budget
-    of ``_DERIVE_GIVEN`` (300) given clauses and never by a clock, so the
-    verdict is the same on every machine.
+    a deep equality, checked against its stored proof certificate
+    ``data/proofs/LEMMA.LINE.proof`` (LINE as in the rejection messages):
+    the goal must be the link's equation on expanded forms, either way
+    round, and ``verify_proof`` must accept the proof from hoop_defs plus
+    the cited lemmas.  The prover never runs.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from importlib import resources
 
 from .terms import ac_normal, substitute, term_vars
 from .hoops import DERIVED_DEFS, MINUS, PLUS, builtin_theory, parse_hoop_term
+from .saturate import parse_proof, verify_proof
 from .syntax import Theory, parse_formula_text
 
 ZERO = ("0",)
@@ -438,12 +440,17 @@ class LemmaRecord:
 
     @property
     def chain(self):
-        try:
-            text = (resources.files(__package__) / "data" / "chains"
-                    / (self.name + ".chain")).read_text()
-        except FileNotFoundError:
-            return None
-        return parse_chain(text)
+        text = _data_text("chains", self.name + ".chain")
+        return None if text is None else parse_chain(text)
+
+
+def _data_text(folder, name):
+    """Text of a bundled data file, or None when there is none."""
+    try:
+        return (resources.files(__package__) / "data" / folder
+                / name).read_text()
+    except FileNotFoundError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -558,12 +565,6 @@ def _registry():
 # ---------------------------------------------------------------------------
 # verification
 
-# Given-clause budget of a derive link: about 9 s and 110 MB of prover
-# work on a derive link of the corpus (2-core x86 sandbox).  Neither of the
-# corpus's two derive links is proved within 900 given clauses.
-_DERIVE_GIVEN = 300
-
-
 def lemma_theory(names, goal):
     """The theory hoop_defs plus the statements of the named lemmas
     (helpers included), with goal as its one goal.  Raises ChainError
@@ -579,11 +580,35 @@ def lemma_theory(names, goal):
                   goals=[goal])
 
 
-def _derive_ok(prev, cur, names):
-    from .saturate import ProverLimits, prove
-    outcome = prove(lemma_theory(names, ("atom", ("=", prev, cur))),
-                    ProverLimits(max_given=_DERIVE_GIVEN))
-    return outcome.status == "proved"
+def proof_certificate(lemma, line):
+    """Text of the stored proof of the derive link at line of lemma's
+    chain, or None when there is none."""
+    return _data_text("proofs", "%s.%d.proof" % (lemma, line))
+
+
+def _check_certificate(prev, cur, names, lemma, line):
+    """Raise ChainError, naming the cause, unless the stored certificate
+    proves prev = cur (expanded forms) from the lemmas names."""
+    where = "derive link at line %d of %s" % (line, lemma)
+    text = proof_certificate(lemma, line)
+    if text is None:
+        raise ChainError("%s: no proof certificate data/proofs/%s.%d.proof"
+                         % (where, lemma, line))
+    try:
+        proof = parse_proof(text, builtin_theory("hoop_defs"))
+    except ValueError as e:
+        raise ChainError("%s: unreadable proof certificate: %s" % (where, e))
+    goals = [step.formula for step in proof.steps if step.formula is not None]
+    sides = None
+    if len(goals) == 1 and goals[0][0] == "atom" and goals[0][1][0] == "=":
+        sides = en(goals[0][1][1]), en(goals[0][1][2])
+    if sides not in ((prev, cur), (cur, prev)):
+        raise ChainError("%s: the proof certificate does not prove this link"
+                         % where)
+    ok, report = verify_proof(lemma_theory(names, goals[0]), proof)
+    if not ok:
+        raise ChainError("%s: proof certificate rejected: %s"
+                         % (where, report))
 
 
 def _cited_equations(just, available):
@@ -640,8 +665,8 @@ class _Verifier:
             pairs.extend(_fact_pairs(self.available(name).statement))
         return tuple(pairs)
 
-    def check_link(self, prev, cur, rel, just, prev_raw, cur_raw):
-        """prev/cur are expanded forms, *_raw the written terms."""
+    def check_link(self, prev, cur, rel, just, lemma, line):
+        """prev/cur are expanded forms; the link is line of lemma's chain."""
         if rel == "=":
             zp, zc = self.zreduce(prev), self.zreduce(cur)
             if just.kind in ("axiom", "def", "lemma", "base", "ac",
@@ -664,7 +689,8 @@ class _Verifier:
             if just.kind == "derive":
                 for name in just.refs:
                     self.available(name)
-                return _derive_ok(prev_raw, cur_raw, just.refs)
+                _check_certificate(prev, cur, just.refs, lemma, line)
+                return True
             return False
         # inequality links
         if just.kind not in ("base", "mono", "res"):
@@ -683,10 +709,8 @@ class _Verifier:
             rels = []
             for i, (term, rel, just) in enumerate(chain[1:], start=2):
                 cur = en(term)
-                prev = terms[-1]
-                prev_raw = chain[0] if i == 2 else chain[i - 2][0]
-                if not self.check_link(prev, cur, rel, just,
-                                       prev_raw, term):
+                if not self.check_link(terms[-1], cur, rel, just,
+                                       record.name, i):
                     return False, ("link at line %d (%s, %s) does not check"
                                    % (i, rel, just.kind))
                 terms.append(cur)

@@ -390,11 +390,17 @@ def deserialize_model(line: str) -> FiniteModel:
         kind, arity = kind_arity.split("/")
         arity = int(arity)
         vals = [int(v) for v in values.split(",")] if values.strip() else []
+        if name in consts or name in funs or name in rels:
+            raise ModelError("table %s given twice" % name)
         if kind == "fun" and arity == 0:
+            if len(vals) != 1:
+                raise ModelError("constant %s needs one value" % name)
             consts[name] = vals[0]
         elif kind == "fun":
             funs[name] = unflatten(vals, arity, n)
         elif kind == "rel":
+            if not set(vals) <= {0, 1}:
+                raise ModelError("relation %s entries must be 0 or 1" % name)
             rels[name] = unflatten([bool(v) for v in vals], arity, n)
         else:
             raise ModelError("bad model field %r" % p)

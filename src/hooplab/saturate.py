@@ -50,14 +50,12 @@ class _Prec(dict):
 
 
 class ProverLimits:
-    def __init__(self, max_seconds=None, max_given=None,
-                 max_clause_weight=None):
-        for v in (max_seconds, max_given, max_clause_weight):
+    def __init__(self, max_seconds=None, max_given=None):
+        for v in (max_seconds, max_given):
             if v is not None and v <= 0:
                 raise ProverError("limits must be positive")
         self.max_seconds = max_seconds
         self.max_given = max_given
-        self.max_clause_weight = max_clause_weight
 
 
 class ProofStep:
@@ -523,7 +521,6 @@ class _State:
         self.clause_ix = _DiscTree()  # atom -> (seq, id, pol, atom)
         self._clause_seq = 0
         self._clause_vals = {}  # id -> clause_ix values
-        self.discarded_by_weight = False
         self.pick = 0
         self.salt = count(1)
 
@@ -722,10 +719,6 @@ class _State:
         """Install a simplified clause as a new step unless it is
         redundant; its step id, or None."""
         if is_tautology(clause) or self._ac_tautology(clause):
-            return None
-        lim = self.limits.max_clause_weight
-        if lim is not None and clause and clause_weight(clause) > lim:
-            self.discarded_by_weight = True
             return None
         key = canonical_clause(clause)
         if self.keys.get(key) in self.alive:
@@ -1009,8 +1002,6 @@ class _State:
                     self.add(clause, just)
             except _Contradiction as c:
                 return Proved(self._reconstruct(c.step_id))
-        if self.discarded_by_weight:
-            return LimitReached("max_clause_weight")
         return Exhausted()
 
     def _reconstruct(self, final_id):

@@ -16,8 +16,6 @@ Formulas are tagged tuples over atoms:
 
 from __future__ import annotations
 
-from itertools import count
-
 VAR = "V"
 
 # canonical variable names for pattern normalization, in order
@@ -91,14 +89,6 @@ def substitute(t, binding):
     if len(t) == 3:
         return (t[0], substitute(t[1], binding), substitute(t[2], binding))
     return (t[0], *[substitute(a, binding) for a in t[1:]])
-
-
-def compose(b1, b2):
-    """Binding equal to applying b1 then b2."""
-    out = {v: substitute(t, b2) for v, t in b1.items()}
-    for v, t in b2.items():
-        out.setdefault(v, t)
-    return out
 
 
 def match(pattern, target, binding=None):
@@ -287,7 +277,6 @@ def is_tautology(clause) -> bool:
 
 GREATER = "greater"
 LESS = "less"
-EQUAL = "equal"
 INCOMPARABLE = "incomparable"
 
 
@@ -342,16 +331,6 @@ def _occurs_plain(name, t):
         if _occurs_plain(name, a):
             return True
     return False
-
-
-def compare_lpo(t1, t2, prec) -> str:
-    if t1 == t2:
-        return EQUAL
-    if lpo_gt(t1, t2, prec):
-        return GREATER
-    if lpo_gt(t2, t1, prec):
-        return LESS
-    return INCOMPARABLE
 
 
 # ---------------------------------------------------------------------------
@@ -425,27 +404,21 @@ def _cnf(nf):
     raise ValueError("bad nnf node %r" % (tag,))
 
 
-def clausify(f, mode: str, fresh_constants=None):
+def clausify(f, mode: str):
     """Turn a quantifier-free formula into CNF clauses.
 
     mode "assumption": the formula is kept as is.
     mode "denied_goal": the formula is negated and each of its (implicitly
-    universal) variables is replaced by a fresh Skolem constant drawn from
-    fresh_constants (an iterator of names; defaults to c1, c2, ...).
+    universal) variables is replaced by a fresh Skolem constant c1, c2, ...
     """
     if mode == "assumption":
         nf = _nnf(f, True)
     elif mode == "denied_goal":
         nf = _nnf(f, False)
-        names = fresh_constants if fresh_constants is not None else (
-            "c%d" % i for i in count(1))
-        binding = {}
-        order = []
+        binding = {}    # variables in order of first occurrence
         def visit(t):
             if t[0] == VAR:
-                if t[1] not in binding:
-                    binding[t[1]] = None
-                    order.append(t[1])
+                binding.setdefault(t[1], None)
             else:
                 for a in t[1:]:
                     visit(a)
@@ -457,8 +430,8 @@ def clausify(f, mode: str, fresh_constants=None):
                 visit_nf(n[1])
                 visit_nf(n[2])
         visit_nf(nf)
-        for v in order:
-            binding[v] = (next(names),)
+        for i, v in enumerate(binding, start=1):
+            binding[v] = ("c%d" % i,)
         def subst_nf(n):
             if n[0] == "lit":
                 return ("lit", n[1],

@@ -1,8 +1,10 @@
 """Chain verifier and the transcribed lemma corpus."""
 
+import io
+
 import pytest
 
-from hooplab import chains
+from hooplab import chains, cli, saturate
 from hooplab.chains import (
     ChainError, LemmaRecord, acnorm, en, expand, lemma_corpus, parse_chain,
     verify_chain, verify_chain_report, zreduce,
@@ -148,7 +150,8 @@ def _chain_text(name):
             / (name + ".chain")).read_text()
 
 
-def _verify_text(name, text, context):
+def _report_text(name, text, context):
+    """(ok, reason) of lemma name's statement with the chain text."""
     record = CORPUS[name]
     mutated = parse_chain(text)
 
@@ -159,8 +162,11 @@ def _verify_text(name, text, context):
     r.name = record.name
     r.statement = record.statement
     r.chain = mutated
-    ok, _ = chains._Verifier(context).verify(r)
-    return ok
+    return chains._Verifier(context).verify(r)
+
+
+def _verify_text(name, text, context):
+    return _report_text(name, text, context)[0]
 
 
 def _mutate_term(t):
@@ -243,29 +249,114 @@ def test_each_single_term_mutation_rejected():
 
 def _rejected_near(record, chain, i):
     """True when a link next to term i of chain, or for an end term the
-    entailment check, rejects the chain.  derive links run the prover, so
-    they are tried last."""
+    entailment check, rejects the chain."""
     verifier = chains._Verifier(record.depends_on)
-    raw = [chain[0]] + [entry[0] for entry in chain[1:]]
-    terms = [en(t) for t in raw]
+    terms = [en(chain[0])] + [en(entry[0]) for entry in chain[1:]]
 
-    def link_fails(k):   # the link from term k - 1 to term k
+    def link_fails(k):   # the link from term k - 1 to term k, on line k + 1
         _, rel, just = chain[k]
         try:
             return not verifier.check_link(terms[k - 1], terms[k], rel, just,
-                                           raw[k - 1], raw[k])
+                                           record.name, k + 1)
         except ChainError:
             return True
 
-    near = [k for k in (i, i + 1) if 1 <= k < len(chain)]
-    if any(link_fails(k) for k in near if chain[k][2].kind != "derive"):
+    if any(link_fails(k) for k in (i, i + 1) if 1 <= k < len(chain)):
         return True
     if i in (0, len(chain) - 1):
         ok, _ = verifier.entails(record, terms,
                                  [entry[1] for entry in chain[1:]])
-        if not ok:
-            return True
-    return any(link_fails(k) for k in near if chain[k][2].kind == "derive")
+        return not ok
+    return False
+
+
+# ---------------------------------------------------------------------------
+# derive links and their proof certificates
+
+# MNMN's statement as one derive link from MNA and AA
+MNMN_DERIVE = "(x cap y)'\n(y cap x)'\t=\tderive(MNA, AA)\n"
+
+
+@pytest.fixture(scope="module")
+def mnmn_certificate(tmp_path_factory):
+    """The prover's proof of the MNMN_DERIVE link, made by the recipe the
+    README gives for a certificate."""
+    folder = tmp_path_factory.mktemp("certificate")
+    link = folder / "MNMN.2.p"
+    link.write_text(
+        "formulas(assumptions).\n%send_of_list.\n"
+        "formulas(goals).\n   %s.\nend_of_list.\n"
+        % ("".join("   %s.\n" % CORPUS[n].statement_text
+                   for n in ("MNA", "AA")),
+           CORPUS["MNMN"].statement_text))
+    proof = folder / "MNMN.2.proof"
+    code = cli.main(["prove", "-f", "hoop.ax", "hoop-ge-def.ax",
+                     "hoop-defs.ax", str(link), "--max-given", "70",
+                     "--proof-out", str(proof)], out=io.StringIO())
+    assert code == 0
+    return proof.read_text()
+
+
+def test_derive_link_accepted_with_its_certificate(monkeypatch,
+                                                   mnmn_certificate):
+    monkeypatch.setattr(chains, "proof_certificate", lambda lemma, line:
+                        mnmn_certificate if (lemma, line) == ("MNMN", 2)
+                        else None)
+    assert _report_text("MNMN", MNMN_DERIVE, ("MNA", "AA")) == (True, "ok")
+    # the goal may state the link's two sides in either order
+    flipped = "(y cap x)'\n(x cap y)'\t=\tderive(MNA, AA)\n"
+    assert _report_text("MNMN", flipped, ("MNA", "AA")) == (True, "ok")
+
+
+def _corrupt_step(text):
+    """The proof with the clause of its second-to-last step replaced."""
+    lines = text.splitlines()
+    step_id, rest = lines[-2].split(" ", 1)
+    lines[-2] = "%s x = y%s" % (step_id, rest[rest.index(".  ["):])
+    return "\n".join(lines) + "\n"
+
+
+def _add_assumption(text):
+    """The proof with one more assumption step, put before its last step."""
+    lines = text.splitlines()
+    fresh = max(int(line.split(" ", 1)[0]) for line in lines) + 1
+    lines.insert(-1, "%d x + y = x.  [assumption]." % fresh)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("lemma,change,cause", [
+    ("NNSNNSNN", None, "does not prove this link"),
+    ("MNMN", _corrupt_step, "rejected: step"),
+    ("MNMN", _add_assumption, "not a theory assumption"),
+    ("MNMN", lambda text: "1 garbage", "unreadable"),
+    ("MNMN", lambda text: None,
+     "no proof certificate data/proofs/MNMN.2.proof"),
+])
+def test_derive_link_rejects_wrong_certificates(monkeypatch, mnmn_certificate,
+                                                lemma, change, cause):
+    text = change(mnmn_certificate) if change else mnmn_certificate
+    # served for every link, so NNSNNSNN's line 2 gets MNMN's certificate
+    monkeypatch.setattr(chains, "proof_certificate", lambda *link: text)
+    if lemma == "MNMN":
+        ok, why = _report_text("MNMN", MNMN_DERIVE, ("MNA", "AA"))
+    else:
+        ok, why = verify_chain_report(lemma, CORPUS[lemma].depends_on)
+    assert not ok
+    assert "line 2 of %s" % lemma in why and cause in why, why
+
+
+def test_chain_verification_never_runs_the_prover(monkeypatch):
+    def no_prover(*args, **kwargs):
+        raise AssertionError("the chain verifier ran the prover")
+
+    monkeypatch.setattr(saturate, "prove", no_prover)
+    verdicts = {record.name: verify_chain_report(record, record.depends_on)
+                for record in lemma_corpus() if record.chain is not None}
+    rejected = sorted(n for n, (ok, _) in verdicts.items() if not ok)
+    assert rejected == ["NNSNNSNN", "PNNNNPNN"]
+    assert len(verdicts) - len(rejected) == 21
+    for name in rejected:
+        assert "no proof certificate" in verdicts[name][1]
 
 
 # ---------------------------------------------------------------------------

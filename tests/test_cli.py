@@ -164,6 +164,16 @@ def test_check_model_failure(tmp_path):
     assert "FAILS" in out
 
 
+def test_check_rejects_non_boolean_relation_entry(tmp_path, capsys):
+    _, compact = run("construct", "--ln", "2", "--format", "compact")
+    mf = tmp_path / "m.model"
+    mf.write_text(compact.strip() + " ; rel/2 >= = 1,0,1,7\n")
+    code, _ = run("check", "--model", str(mf), "-f", data("hoop.ax"),
+                  data("hoop-ge-def.ax"))
+    assert code == 3
+    assert "unreadable model" in capsys.readouterr().err
+
+
 def test_lemmas_listing():
     code, out = run("lemmas")
     assert code == 0
@@ -171,7 +181,7 @@ def test_lemmas_listing():
 
 
 def test_lemmas_verify_chains_reports_each_lemma_once(monkeypatch):
-    # no prover run: every transcribed chain is taken as verified
+    # every transcribed chain is taken as verified
     monkeypatch.setattr(cli.chains, "verify_chain",
                         lambda record, context=(): True)
     code, out = run("lemmas", "--verify-chains")

@@ -205,6 +205,16 @@ def test_serialize_roundtrip():
     assert serialize_model(again) == line
 
 
+@pytest.mark.parametrize("line", [
+    "2 ; rel/1 r = 5,7",                   # relation entries are 0 or 1
+    "2 ; fun/0 c = 1,0",                   # a constant has one value
+    "2 ; fun/0 c = 0 ; fun/0 c = 1",       # each table is given once
+])
+def test_deserialize_rejects_malformed_tables(line):
+    with pytest.raises(ModelError):
+        deserialize_model(line)
+
+
 def test_model_validation():
     with pytest.raises(ModelError):
         FiniteModel(0)
