@@ -47,16 +47,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 
-from .terms import ac_normal, substitute, term_vars
-from .hoops import DERIVED_DEFS, MINUS, PLUS, builtin_theory, parse_hoop_term
+from .terms import VAR, ac_normal, substitute, term_vars
+from .hoops import (DERIVED_DEFS, MINUS, PLUS, builtin_theory, data_text,
+                    parse_hoop_term)
 from .saturate import parse_proof, verify_proof
 from .syntax import Theory, parse_formula_text
 
 ZERO = ("0",)
 ONE = ("1",)
-VAR = "V"
 
 
 class ChainError(ValueError):
@@ -440,17 +439,8 @@ class LemmaRecord:
 
     @property
     def chain(self):
-        text = _data_text("chains", self.name + ".chain")
+        text = data_text("chains", self.name + ".chain")
         return None if text is None else parse_chain(text)
-
-
-def _data_text(folder, name):
-    """Text of a bundled data file, or None when there is none."""
-    try:
-        return (resources.files(__package__) / "data" / folder
-                / name).read_text()
-    except FileNotFoundError:
-        return None
 
 
 @dataclass(frozen=True)
@@ -583,7 +573,7 @@ def lemma_theory(names, goal):
 def proof_certificate(lemma, line):
     """Text of the stored proof of the derive link at line of lemma's
     chain, or None when there is none."""
-    return _data_text("proofs", "%s.%d.proof" % (lemma, line))
+    return data_text("proofs", "%s.%d.proof" % (lemma, line))
 
 
 def _check_certificate(prev, cur, names, lemma, line):

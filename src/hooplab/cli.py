@@ -20,7 +20,6 @@ import argparse
 import functools
 import os
 import sys
-from importlib import resources
 
 from . import chains, hoops, saturate, search, syntax
 from .model import ModelError, deserialize_model
@@ -41,9 +40,9 @@ class UsageError(Exception):
 def _read_input(path):
     """Read a file; unqualified names fall back to the bundled data dir."""
     if not os.path.exists(path) and os.sep not in path:
-        bundled = resources.files("hooplab") / "data" / path
-        if bundled.is_file():
-            return bundled.read_text()
+        bundled = hoops.data_text(path)
+        if bundled is not None:
+            return bundled
     try:
         with open(path) as fh:
             return fh.read()
@@ -195,15 +194,18 @@ def cmd_construct(args, out):
 
 
 def _lemmas_verify_chains(out):
-    """One line per lemma, then the count of verified named (non-basic)
-    chains.  A lemma with no transcribed chain is reported, not failed."""
+    """One line per lemma, a rejection with its reason, then the count of
+    verified named (non-basic) chains.  A lemma with no transcribed chain
+    is reported, not failed."""
     named = verified = failed = 0
     for record in chains.lemma_corpus():
         if record.chain is None:
             out.write("# %s: no chain\n" % record.name)
             continue
-        ok = chains.verify_chain(record, tuple(record.depends_on))
-        out.write("# %s: %s\n" % (record.name, "ok" if ok else "REJECTED"))
+        ok, why = chains.verify_chain_report(record,
+                                             tuple(record.depends_on))
+        out.write("# %s: %s\n" % (record.name,
+                                   "ok" if ok else "REJECTED: " + why))
         failed += not ok
         if not record.name.startswith("basic_"):
             named += 1

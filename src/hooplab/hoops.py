@@ -15,6 +15,7 @@ from importlib import resources
 from .model import FiniteModel, ModelError
 from .syntax import (Theory, TheoryError, parse_source, parse_term_text,
                      render_formula)
+from .terms import VAR
 
 PLUS = "+"
 MINUS = "~"
@@ -26,8 +27,16 @@ NOMENCLATURE = {
 }
 
 
-def _data_text(name: str) -> str:
-    return (resources.files(__package__) / "data" / name).read_text()
+def data_text(*parts):
+    """Text of the bundled data file data/PART/..., or None when there is
+    none."""
+    path = resources.files(__package__) / "data"
+    for part in parts:
+        path = path / part
+    try:
+        return path.read_text()
+    except OSError:
+        return None
 
 
 def _parse_definitions(text):
@@ -48,7 +57,7 @@ _DEFINITION_FILES = ("hoop-ge-def.ax", "hoop-defs.ax")
 # >= and the derived operations: symbol -> (kind, params, body), in
 # definition order.  Note \ takes its arguments as y \ x = (x + y) ~ x.
 DEFINITIONS = _parse_definitions(
-    "\n".join(_data_text(f) for f in _DEFINITION_FILES))
+    "\n".join(data_text(f) for f in _DEFINITION_FILES))
 
 # The derived operations alone: op -> (argument variables, defining term).
 DERIVED_DEFS = {op: (params, body)
@@ -73,7 +82,7 @@ def builtin_theory(name: str) -> Theory:
     if files is None:
         raise ValueError("unknown builtin theory %r" % name)
     # one parse over the concatenation: later files use earlier declarations
-    return parse_source("\n".join(_data_text(f) for f in files))
+    return parse_source("\n".join(data_text(f) for f in files))
 
 
 def trivial_hoop() -> FiniteModel:
@@ -251,7 +260,7 @@ def name_property(f) -> str:
     """Nomenclature name: the letters of all operations and constants in the
     left-to-right reading order of the rendered statement."""
     def term_letters(t):
-        if t[0] == "V":
+        if t[0] == VAR:
             return ""
         if t[0] not in NOMENCLATURE:
             raise ValueError("symbol %r has no nomenclature letter" % t[0])

@@ -3,10 +3,18 @@
 The loop keeps a passive and an active clause set.  Each round it selects a
 given clause (four picks out of five by minimal weight, the fifth by age),
 moves it to the active set, and generates paramodulants, resolvents and
-factors between the given clause and the active set.  New clauses are
-simplified by demodulation with LPO-orientable unit equations, checked for
-tautology and forward subsumption, and added to the passive set.  A fresh
-oriented unit equation back-simplifies everything already present.
+factors between the given clause and the active set.  The goal is denied
+with Skolem constants c1, c2, ... named apart from the theory's symbols.
+
+New clauses are simplified by demodulation, checked for tautology and
+forward subsumption, and added to the passive set.  The demodulators are
+the positive unit equations whose sides the LPO orders, rewriting the
+larger side to the smaller, and the input equations whose sides it cannot
+order, which rewrite either way on instances that get smaller.  One test
+(_State._root_step) decides whether a demodulator rewrites a term at its
+root; forward demodulation, the revalidation of memoized normal forms and
+back-simplification, in which a new demodulator simplifies again every
+live clause it rewrites, all use it.
 
 For a symbol that the assumptions declare associative and commutative, a
 new clause with a positive equation whose sides are equal modulo AC is
@@ -137,15 +145,29 @@ def _clause_subterms(clause):
             for sub in subterms(t) if sub[0] != VAR}
 
 
+def _denial(theory, goal):
+    """The clauses of the denied goal, with Skolem constants named apart
+    from every symbol the theory's precedence ranks."""
+    return clausify(goal, "denied_goal", theory.precedence())
+
+
+def _unit_equation(clause):
+    """The two sides of a positive unit equation, or None."""
+    if len(clause) == 1 and clause[0][0] and clause[0][1][0] == "=":
+        return clause[0][1][1:]
+    return None
+
+
 def _ac_symbols(clauses):
     """Binary symbols f with both f(x, y) = f(y, x) and
     f(f(x, y), z) = f(x, f(y, z)) among the unit clauses, in any variable
     naming and either orientation."""
     comm, assoc = set(), set()
     for clause in clauses:
-        if len(clause) != 1 or not clause[0][0] or clause[0][1][0] != "=":
+        eq = _unit_equation(clause)
+        if eq is None:
             continue
-        _, s, t = clause[0][1]
+        s, t = eq
         for a, b in ((s, t), (t, s)):
             if len(a) != 3:
                 continue
@@ -215,37 +237,46 @@ def _position(atom, path):
     return path[0], tuple(p - 1 for p in path[1:]), t
 
 
-def _apply_rewrite(clause, entry, demod_clause, prec=None):
-    """Apply one recorded rewrite; with prec given, insist the step is
-    ordering-decreasing."""
-    did, li, path, side = entry
-    if (len(demod_clause) != 1 or not demod_clause[0][0]
-            or demod_clause[0][1][0] != "="):
-        raise ProverError("demodulator %d is not a positive unit equation"
-                          % did)
-    _, s, t = rename_apart(demod_clause, 999998)[0][1]
-    lhs, rhs = (s, t) if side == "l" else (t, s)
+def _equation_step(clause, li, path, source, side, what, prec=None,
+                   para=False):
+    """Replace the subterm at literal li, path of clause using the positive
+    unit equation source, read with its side "l" or "r" as left-hand side.
+    A rewrite needs the left-hand side to match the subterm and, with prec
+    given, the step to decrease the ordering; paramodulation (para) needs
+    it to unify with a non-variable subterm and instantiates the result.
+    what names source in the error messages."""
+    eq = _unit_equation(rename_apart(source, 999999))
+    if eq is None:
+        raise ProverError("%s is not a positive unit equation" % what)
+    lhs, rhs = eq if side == "l" else eq[::-1]
     pol, atom = _literal(clause, li)
     ai, tpath, sub = _position(atom, path)
-    b = match(lhs, sub)
+    if not para:
+        b = match(lhs, sub)
+    elif sub[0] == VAR:
+        raise ProverError("paramodulation into a variable")
+    else:
+        b = unify(lhs, sub)
     if b is None:
-        raise ProverError("demodulator %d does not match" % did)
+        raise ProverError("%s does not %s" % (what,
+                                              "unify" if para else "match"))
     repl = substitute(rhs, b)
     if prec is not None and not lpo_gt(sub, repl, prec):
-        raise ProverError("rewrite with %d does not decrease the ordering"
-                          % did)
+        raise ProverError("rewrite with %s does not decrease the ordering"
+                          % what)
     new_atom = atom[:ai] + (replace_at(atom[ai], tpath, repl),) \
         + atom[ai + 1:]
-    return clause[:li] + ((pol, new_atom),) + clause[li + 1:]
+    clause = clause[:li] + ((pol, new_atom),) + clause[li + 1:]
+    return _dedup(substitute_clause(clause, b)) if para else clause
 
 
 def _apply_secondary(clause, ops, get_clause, prec=None):
     for op in ops:
         kind = op[0]
         if kind == "rewrite":
-            for entry in op[1]:
-                clause = _apply_rewrite(clause, entry,
-                                        get_clause(entry[0]), prec)
+            for did, li, path, side in op[1]:
+                clause = _equation_step(clause, li, path, get_clause(did),
+                                        side, "demodulator %d" % did, prec)
             clause = _dedup(clause)
         elif kind == "xx":
             li = op[1]
@@ -275,25 +306,9 @@ def _apply_primary(op, get_clause):
         return get_clause(op[1])
     if kind == "para":
         _, from_id, side, into_id, li, path = op
-        from_cl = rename_apart(get_clause(from_id), 999999)
-        if (len(from_cl) != 1 or not from_cl[0][0]
-                or from_cl[0][1][0] != "="):
-            raise ProverError("para source is not a positive unit equation")
-        _, s, t = from_cl[0][1]
-        lhs, rhs = (s, t) if side == "l" else (t, s)
-        into_cl = get_clause(into_id)
-        pol, atom = _literal(into_cl, li)
-        ai, tpath, sub = _position(atom, path)
-        if sub[0] == VAR:
-            raise ProverError("paramodulation into a variable")
-        b = unify(lhs, sub)
-        if b is None:
-            raise ProverError("para terms do not unify")
-        new_atom = atom[:ai] \
-            + (replace_at(atom[ai], tpath, substitute(rhs, b)),) \
-            + atom[ai + 1:]
-        return _dedup(substitute_clause(
-            into_cl[:li] + ((pol, new_atom),) + into_cl[li + 1:], b))
+        return _equation_step(get_clause(into_id), li, path,
+                              get_clause(from_id), side,
+                              "para source %d" % from_id, para=True)
     if kind == "resolve":
         _, id1, li1, id2, li2 = op
         c1 = get_clause(id1)
@@ -338,8 +353,8 @@ class _DiscTree:
 
     @staticmethod
     def _keys(pattern):
-        """Preorder keys (symbols, and first-occurrence numbers for
-        variables) and the variable names in that order."""
+        """Preorder keys: symbols, and first-occurrence numbers for
+        variables."""
         keys, names = [], []
         stack = [pattern]
         while stack:
@@ -351,7 +366,7 @@ class _DiscTree:
             else:
                 keys.append(u[0])
                 stack.extend(reversed(u[1:]))
-        return keys, tuple(names)
+        return keys
 
     def _leaf(self, keys):
         node = self.root
@@ -364,17 +379,13 @@ class _DiscTree:
         return node[2]
 
     def insert(self, pattern, value):
-        keys, names = self._keys(pattern)
-        self._leaf(keys).append((value, names))
+        self._leaf(self._keys(pattern)).append(value)
 
     def remove(self, pattern, value):
-        keys, names = self._keys(pattern)
-        self._leaf(keys).remove((value, names))
+        self._leaf(self._keys(pattern)).remove(value)
 
     def retrieve(self, term):
-        """(value, variable names, their values) for every pattern
-        matching term, in insertion-sequence order (values must sort by
-        their first item)."""
+        """The values of every pattern matching term."""
         out = []
         # each state: (node, query subterms still to meet as a linked
         # list, variable values bound so far)
@@ -405,14 +416,8 @@ class _DiscTree:
                         tail = (a, tail)
                 rest = tail
             if node is not None:
-                for value, names in node[2]:
-                    out.append((value, names, binds))
-        out.sort(key=_first_of_value)
+                out.extend(node[2])
         return out
-
-
-def _first_of_value(entry):
-    return entry[0][0]
 
 
 class _InstanceIndex:
@@ -499,28 +504,28 @@ class _State:
             cl for f in theory.assumptions
             for cl in clausify(f, "assumption"))
         self.ids = count(1)
-        self.steps = {}
-        self.active = {}        # step ids, insertion order (values unused)
-        self.passive = set()    # step ids
+        self.steps = {}         # id -> ProofStep, every step ever made
+        self.weight = {}        # id -> clause weight
+        self.feats = {}         # id -> frozenset of (polarity, predicate)
+        # the live clauses: id -> their clause_ix values; active and
+        # passive partition its keys
+        self.live = {}
+        self.active = {}        # ids, insertion order (values unused)
+        self.passive = set()    # ids
         self._by_weight = []    # heap of (weight, id); may hold stale ids
         self._by_age = []       # heap of ids; may hold stale ids
-        self.alive = set()
-        self.keys = {}          # canonical clause -> live id
-        self.demod_ix = _DiscTree()   # lhs -> (seq,) + entry
+        self.keys = {}          # canonical clause -> its live id
         # demodulator entries (seq, id, lhs, rhs, side, ordered): every one
-        # ever made, seq = index, and by live demodulator id
+        # ever made (seq = index), the live ones by lhs, and by live id
         self._demod_log = []
+        self.demod_ix = _DiscTree()
         self._demod_vals = {}
         self._root_memo = {}    # term -> (_rewrite_once result, log length)
-        self._norm_memo = {}    # term -> (normal form, entries, version)
+        self._norm_memo = {}    # term -> (normal form, entries, log length)
         self._lpo_cache = {}    # (s, t) -> lpo_gt(s, t)
-        self.weight = {}
-        self.feats = {}         # id -> frozenset of (polarity, predicate)
         self.sub_ix = _InstanceIndex()  # subterms of the live clauses
         # forward subsumption: each live clause under one of its atoms
-        self.clause_ix = _DiscTree()  # atom -> (seq, id, pol, atom)
-        self._clause_seq = 0
-        self._clause_vals = {}  # id -> clause_ix values
+        self.clause_ix = _DiscTree()  # atom -> (id, polarity, atom)
         self.pick = 0
         self.salt = count(1)
 
@@ -540,7 +545,7 @@ class _State:
         for f in self.theory.assumptions:
             for cl in clausify(f, "assumption"):
                 self.add_input(cl, ("assumption",))
-        for cl in clausify(goal, "denied_goal"):
+        for cl in _denial(self.theory, goal):
             self.add_input(cl, ("deny", gid))
 
     def add_input(self, clause, primary):
@@ -608,23 +613,11 @@ class _State:
                 return nf, old_entries
         entries = []
         cur = t
-        memo = self._norm_memo
-        while True:
-            if cur[0] == VAR:
-                break
+        while cur[0] != VAR:
             args = []
             for i, a in enumerate(cur[1:]):
-                if a[0] == VAR:
-                    args.append(a)
-                    continue
-                got = memo.get(a)
-                if got is not None and got[2] == version:
-                    na, sub = got[0], got[1]
-                else:
-                    na, sub = self._normalize(a)
-                if sub:
-                    entries.extend((did, (i,) + p, side)
-                                   for did, p, side in sub)
+                na, sub = self._normalize(a)
+                entries.extend((did, (i,) + p, side) for did, p, side in sub)
                 args.append(na)
             cur = (cur[0],) + tuple(args)
             hit = self._rewrite_once(cur)
@@ -633,61 +626,47 @@ class _State:
             did, side, repl = hit
             entries.append((did, (), side))
             cur = repl
-        result = (cur, tuple(entries))
-        self._norm_memo[t] = (cur, result[1], version)
-        return result
+        entries = tuple(entries)
+        self._norm_memo[t] = (cur, entries, version)
+        return cur, entries
 
     def _rewritten_by(self, entries, t):
-        """True when one of the demodulator entries rewrites somewhere
+        """True when one of the live demodulator entries rewrites somewhere
         inside t."""
-        for sub in subterms(t):
-            if sub[0] == VAR:
-                continue
-            for _, did, lhs, rhs, side, ordered in entries:
-                if (lhs[0] != sub[0] or len(lhs) != len(sub)
-                        or did not in self._demod_vals):
-                    continue
-                b = match(lhs, sub)
-                if b is None:
-                    continue
-                if ordered and not self._lpo(sub, substitute(rhs, b)):
-                    continue
-                return True
-        return False
+        return any(val[1] in self._demod_vals
+                   and self._root_step(sub, val) is not None
+                   for sub in subterms(t) if sub[0] != VAR
+                   for val in entries)
 
     def _rewrite_once(self, sub):
         """The first demodulator entry, in insertion order, that rewrites
         sub at its root: (demod id, side, result), or None.  Remembered per
         term: a hit stays first while its demodulator lives (later entries
-        come after it), and a miss needs only the entries added since."""
+        come after it), and a miss while no entry is added."""
         got = self._root_memo.get(sub)
         if got is not None:
             hit, seen = got
-            if hit is not None and hit[0] in self._demod_vals:
-                return hit
-            if hit is None and len(self._demod_log) - seen <= 4:
-                for val in self._demod_log[seen:]:
-                    if val[2][0] != sub[0] or val[1] not in self._demod_vals:
-                        continue
-                    b = match(val[2], sub)
-                    if b is not None:
-                        hit = self._root_step(sub, val, b)
-                        if hit is not None:
-                            break
-                self._root_memo[sub] = (hit, len(self._demod_log))
+            if (hit[0] in self._demod_vals if hit is not None
+                    else seen == len(self._demod_log)):
                 return hit
         hit = None
-        for val, names, bound in self.demod_ix.retrieve(sub):
-            hit = self._root_step(sub, val, dict(zip(names, bound)))
+        for val in sorted(self.demod_ix.retrieve(sub)):
+            hit = self._root_step(sub, val)
             if hit is not None:
                 break
         self._root_memo[sub] = (hit, len(self._demod_log))
         return hit
 
-    def _root_step(self, sub, val, b):
-        _, did, _, rhs, side, ordered = val
+    def _root_step(self, sub, val):
+        """The rewrite of sub at its root by demodulator entry val:
+        (demod id, side, result), or None when the left-hand side does not
+        match or, for an incomparable equation, the instance does not
+        shrink."""
+        _, did, lhs, rhs, side, ordered = val
+        b = match(lhs, sub)
+        if b is None:
+            return None
         repl = substitute(rhs, b)
-        # incomparable equations rewrite only when the instance shrinks
         if ordered and not self._lpo(sub, repl):
             return None
         return did, side, repl
@@ -721,7 +700,7 @@ class _State:
         if is_tautology(clause) or self._ac_tautology(clause):
             return None
         key = canonical_clause(clause)
-        if self.keys.get(key) in self.alive:
+        if key in self.keys:
             return None
         if clause and self._forward_subsumed(clause):
             return None
@@ -740,7 +719,6 @@ class _State:
             for pol, atom in clause)
 
     def _install(self, sid, key, input_clause=False):
-        self.alive.add(sid)
         self.keys[key] = sid
         self.passive.add(sid)
         heapq.heappush(self._by_weight, (self.weight[sid], sid))
@@ -754,20 +732,16 @@ class _State:
         pats = [atom]
         if atom[0] == "=" and atom[1] != atom[2]:
             pats.append((atom[0], atom[2], atom[1]))
-        vals = []
-        for pat in pats:
-            val = (self._clause_seq, sid, pol, pat)
-            self.clause_ix.insert(pat, val)
-            vals.append(val)
-            self._clause_seq += 1
-        self._clause_vals[sid] = vals
+        self.live[sid] = vals = [(sid, pol, pat) for pat in pats]
+        for val in vals:
+            self.clause_ix.insert(val[2], val)
         self._maybe_new_demod(sid, key, input_clause)
 
     def _forward_subsumed(self, clause):
         feats = _clause_feats(clause)
         tried = set()
         for pol, atom in clause:
-            for (_, sid, pol2, _), _, _ in self.clause_ix.retrieve(atom):
+            for sid, pol2, _ in self.clause_ix.retrieve(atom):
                 if pol2 != pol:
                     continue
                 other = self.steps[sid].clause
@@ -781,63 +755,51 @@ class _State:
         return False
 
     def _maybe_new_demod(self, sid, clause, input_clause=False):
-        if len(clause) != 1:
+        """Make a positive unit equation a demodulator and back-simplify
+        with it.  One whose sides are incomparable (two entries) becomes
+        one only as an input clause; it then rewrites either way, on
+        instances that decrease (e.g. commutativity sorts arguments)."""
+        eqs = self._equations_of(clause)
+        ordered = len(eqs) == 2
+        if not eqs or ordered and not input_clause:
             return
-        pol, atom = clause[0]
-        if not pol or atom[0] != "=":
-            return
-        s, t = atom[1], atom[2]
-        rel = self.orient(s, t)
-        if rel == GREATER:
-            entries = [(sid, s, t, "l", False)]
-        elif rel == LESS:
-            entries = [(sid, t, s, "r", False)]
-        elif rel == INCOMPARABLE and input_clause:
-            # ordered rewriting: usable in both directions on instances
-            # that decrease (e.g. commutativity sorts arguments); derived
-            # unoriented equations stay out of the demodulator set
-            entries = [(sid, s, t, "l", True), (sid, t, s, "r", True)]
-        else:
-            return
-        vals = []
-        for e in entries:
-            val = (len(self._demod_log),) + e
-            self.demod_ix.insert(e[1], val)
-            self._demod_log.append(val)
-            vals.append(val)
-        self._demod_vals[sid] = vals
-        self._back_simplify(entries)
+        seq = len(self._demod_log)
+        self._demod_vals[sid] = vals = [
+            (seq + i, sid, lhs, rhs, side, ordered)
+            for i, (side, lhs, rhs) in enumerate(eqs)]
+        for val in vals:
+            self.demod_ix.insert(val[2], val)
+        self._demod_log.extend(vals)
+        self._back_simplify(vals)
 
-    def _back_simplify(self, entries):
-        did = entries[0][0]
+    def _back_simplify(self, vals):
+        """Simplify again every other live clause that the new
+        demodulator entries rewrite."""
+        did = vals[0][1]
         victims = set()
-        for _, lhs, rhs, _, ordered in entries:
-            for sub in self.sub_ix.instances(lhs):
-                b = match(lhs, sub)
-                if b is None:
-                    continue
-                if ordered and not self._lpo(sub, substitute(rhs, b)):
-                    continue
-                victims |= self.sub_ix.owners[sub]
-        victims = sorted(s for s in victims
-                         if s != did and s in self.alive)
-        for sid in victims:
+        for val in vals:
+            for sub in self.sub_ix.instances(val[2]):
+                if self._root_step(sub, val) is not None:
+                    victims |= self.sub_ix.owners[sub]
+        victims.discard(did)
+        for sid in sorted(victims):
             # a nested back-simplification may already have retired it;
             # its copy is then added again (and dropped as a duplicate)
-            if sid in self.alive:
+            if sid in self.live:
                 self._retire(sid)
             self.add(self.steps[sid].clause, [("copy", sid)])
 
     def _retire(self, sid):
         """Take a live clause out of every set and index."""
-        self.alive.discard(sid)
+        for val in self.live.pop(sid):
+            self.clause_ix.remove(val[2], val)
         self.active.pop(sid, None)
         self.passive.discard(sid)
         clause = self.steps[sid].clause
+        if self.keys.get(clause) == sid:
+            del self.keys[clause]
         for sub in _clause_subterms(clause):
             self.sub_ix.discard(sub, sid)
-        for val in self._clause_vals.pop(sid):
-            self.clause_ix.remove(val[3], val)
         vals = self._demod_vals.pop(sid, None)
         if vals:
             for val in vals:
@@ -848,14 +810,13 @@ class _State:
     # -- inference rules
 
     def _equations_of(self, clause):
-        """Paramodulation sources: sides of a positive unit equation,
-        larger side first; both sides when incomparable."""
-        if len(clause) != 1:
+        """The readings (side, lhs, rhs) of a positive unit equation, as
+        paramodulation sources and demodulator entries: the larger side
+        first, or both ways when the sides are incomparable."""
+        eq = _unit_equation(clause)
+        if eq is None:
             return []
-        pol, atom = clause[0]
-        if not pol or atom[0] != "=":
-            return []
-        s, t = atom[1], atom[2]
+        s, t = eq
         rel = self.orient(s, t)
         if rel == GREATER:
             return [("l", s, t)]
@@ -867,22 +828,21 @@ class _State:
 
     def _paramodulate(self, from_id, into_id, out):
         from_cl = self.steps[from_id].clause
-        if not self._equations_of(from_cl):
+        eqs = self._equations_of(from_cl)
+        if not eqs:
             return
         into_cl = self.steps[into_id].clause
-        renamed = rename_apart(from_cl, next(self.salt))
-        for side, lhs, rhs in self._equations_of(renamed):
+        # orient the stored clause, whose comparisons recur in the LPO
+        # cache, and rename only the chosen sides apart
+        _, left, right = rename_apart(from_cl, next(self.salt))[0][1]
+        for side, _, _ in eqs:
+            lhs, rhs = (left, right) if side == "l" else (right, left)
             for li, (pol, atom) in enumerate(into_cl):
                 if atom[0] == "=":
                     # superposition restriction: rewrite only the maximal
                     # side of an orientable equation
-                    rel = self.orient(atom[1], atom[2])
-                    if rel == GREATER:
-                        sides = (1,)
-                    elif rel == LESS:
-                        sides = (2,)
-                    else:
-                        sides = (1, 2)
+                    sides = {GREATER: (1,), LESS: (2,)}.get(
+                        self.orient(atom[1], atom[2]), (1, 2))
                 else:
                     sides = range(1, len(atom))
                 for ai in sides:
@@ -982,16 +942,12 @@ class _State:
                     and given_count >= self.limits.max_given):
                 return LimitReached("max_given")
             given = self.select_given()
-            if given not in self.alive:
-                continue
             given_count += 1
             self.active[given] = None
             new = []
             self._factor(given, new)
             self._equality_resolve(given, new)
             for other in list(self.active):
-                if other not in self.alive:
-                    continue
                 self._paramodulate(given, other, new)
                 if other != given:
                     self._paramodulate(other, given, new)
@@ -1067,7 +1023,7 @@ def verify_proof(theory, proof: Proof):
                 if gid not in goal_ids or len(just) != 1:
                     return False, "step %d is not a plain denial" % step.id
                 denial = {canonical_clause(_dedup(cl)) for cl in
-                          clausify(goal_ids[gid], "denied_goal")}
+                          _denial(theory, goal_ids[gid])}
                 if canonical_clause(step.clause) not in denial:
                     return (False,
                             "step %d does not deny the goal" % step.id)
@@ -1142,8 +1098,9 @@ def _expand(proof: Proof) -> Proof:
                         clause = mid.clause
                         new_ops = []
                     did, li, path, side = entry
-                    clause = _dedup(_apply_rewrite(
-                        clause, entry, by_id[did].clause))
+                    clause = _dedup(_equation_step(
+                        clause, li, path, by_id[did].clause, side,
+                        "demodulator %d" % did))
                     nid = next(fresh)
                     mid = ProofStep(nid, canonical_clause(clause),
                                     [("para", did, side, current, li,

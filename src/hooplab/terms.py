@@ -16,6 +16,8 @@ Formulas are tagged tuples over atoms:
 
 from __future__ import annotations
 
+from itertools import count
+
 VAR = "V"
 
 # canonical variable names for pattern normalization, in order
@@ -404,12 +406,13 @@ def _cnf(nf):
     raise ValueError("bad nnf node %r" % (tag,))
 
 
-def clausify(f, mode: str):
+def clausify(f, mode: str, taken=()):
     """Turn a quantifier-free formula into CNF clauses.
 
     mode "assumption": the formula is kept as is.
     mode "denied_goal": the formula is negated and each of its (implicitly
     universal) variables is replaced by a fresh Skolem constant c1, c2, ...
+    skipping the names in taken (the symbols already in use).
     """
     if mode == "assumption":
         nf = _nnf(f, True)
@@ -430,8 +433,9 @@ def clausify(f, mode: str):
                 visit_nf(n[1])
                 visit_nf(n[2])
         visit_nf(nf)
-        for i, v in enumerate(binding, start=1):
-            binding[v] = ("c%d" % i,)
+        names = (n for n in ("c%d" % i for i in count(1)) if n not in taken)
+        for v in binding:
+            binding[v] = (next(names),)
         def subst_nf(n):
             if n[0] == "lit":
                 return ("lit", n[1],

@@ -182,8 +182,8 @@ def test_lemmas_listing():
 
 def test_lemmas_verify_chains_reports_each_lemma_once(monkeypatch):
     # every transcribed chain is taken as verified
-    monkeypatch.setattr(cli.chains, "verify_chain",
-                        lambda record, context=(): True)
+    monkeypatch.setattr(cli.chains, "verify_chain_report",
+                        lambda record, context=(): (True, "ok"))
     code, out = run("lemmas", "--verify-chains")
     lines = out.splitlines()
     assert "# basic_v: no chain" in lines
@@ -191,6 +191,21 @@ def test_lemmas_verify_chains_reports_each_lemma_once(monkeypatch):
     assert len(lines) == len(set(lines))
     assert lines[-1] == "18/18 chains verified"
     assert code == 0
+
+
+def test_lemmas_verify_chains_names_the_reason(monkeypatch):
+    # with no stored certificates, the chains with a derive link are
+    # rejected for the missing certificate of that link
+    monkeypatch.setattr(cli.chains, "proof_certificate",
+                        lambda lemma, line: None)
+    code, out = run("lemmas", "--verify-chains")
+    lines = out.splitlines()
+    assert [line for line in lines if "REJECTED" in line] == [
+        "# %s: REJECTED: derive link at line 2 of %s: no proof certificate "
+        "data/proofs/%s.2.proof" % (name, name, name)
+        for name in ("NNSNNSNN", "PNNNNPNN")]
+    assert lines[-1] == "16/18 chains verified"
+    assert code == 1
 
 
 def test_lemmas_prove_poses_helper_dependencies(monkeypatch):

@@ -315,3 +315,56 @@ def test_ac_symbols_need_both_axioms():
                              "formulas(assumptions).\n"
                              "   x * y = y * x.\nend_of_list.\n")
     assert _ac_symbols(units(comm_only)) == set()
+
+
+def test_skolem_constants_avoid_theory_symbols():
+    # the denial of f(x) = c1 must not reuse the theory's own c1: f(c1) = c1
+    # does not entail f(x) = c1 (a two-element countermodel)
+    th = parse_source("""
+formulas(assumptions).
+   f(c1) = c1.
+end_of_list.
+formulas(goals).
+   f(x) = c1.
+end_of_list.
+""")
+    assert prove(th, ProverLimits(max_given=100)).status != "proved"
+    colliding = parse_proof("""1 f(x) = c1 # label(non_clause) # label(goal).  [goal].
+2 f(c1) = c1.  [assumption].
+3 f(c1) != c1.  [deny(1)].
+4 $F.  [copy(3),rewrite([2(0,1,l)]),xx(0)].
+""", th)
+    assert verify_proof(th, colliding) == (
+        False, "step 3 does not deny the goal")
+
+
+_SL_IDEMPOTENT = """1 x cup (x cup x) = x # label(non_clause) # label(goal).  [goal].
+4 x cup x = x.  [assumption].
+5 c1 cup (c1 cup c1) != c1.  [deny(1)].
+"""
+# the denial of a conjunction is a non-unit clause
+_SL_BOTH = """1 x cup x = x & y cup y = y # label(non_clause) # label(goal).  [goal].
+4 x cup x = x.  [assumption].
+5 c1 cup c1 != c1 | c2 cup c2 != c2.  [deny(1)].
+"""
+
+
+@pytest.mark.parametrize("head, last, report", [
+    (_SL_BOTH, "[copy(4),rewrite([5(0,1,l)])]",
+     "demodulator 5 is not a positive unit equation"),
+    (_SL_BOTH, "[para(5,l,4,0,1)]",
+     "para source 5 is not a positive unit equation"),
+    # x -> x cup x makes c1 larger
+    (_SL_IDEMPOTENT, "[copy(5),rewrite([4(0,2,r)])]",
+     "rewrite with demodulator 4 does not decrease the ordering"),
+    # position 1.1 of x cup x = x is the variable x
+    (_SL_IDEMPOTENT, "[para(4,l,4,0,1.1)]",
+     "paramodulation into a variable"),
+    (_SL_IDEMPOTENT, "[para(4,l,5,0,2)]", "para source 4 does not unify"),
+], ids=["non-unit demodulator", "non-unit para source",
+        "increasing rewrite", "para into a variable", "para not unifying"])
+def test_verify_rejects_bad_equation_steps(head, last, report):
+    goal = head.split(" # ")[0].split(" ", 1)[1]    # the text of step 1
+    th = with_goal(SL, goal)
+    proof = parse_proof(head + "6 $F.  %s.\n" % last, th)
+    assert verify_proof(th, proof) == (False, "step 6: " + report)

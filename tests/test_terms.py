@@ -190,3 +190,9 @@ def test_clausify_denied_goal_introduces_constants():
     (lit,) = cls[0]
     assert lit[0] is False
     assert not term_vars(lit[1][1])  # variables became Skolem constants
+
+
+def test_clausify_skolem_names_skip_taken_symbols():
+    f = ("atom", ("=", plus(X, Y), X))
+    (lit,), = clausify(f, "denied_goal", {"c1", "c3", "+"})
+    assert lit == (False, ("=", plus(("c2",), ("c4",)), ("c2",)))
