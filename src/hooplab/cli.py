@@ -94,10 +94,12 @@ def cmd_enumerate(args, out):
             out.write("# model %d\n" % count)
             _print_model(m, args.format, out)
     except search.SearchLimit as e:
-        limit = e.limit
+        limit = e
     out.write("models: %d\n" % count)
     if limit is not None:
-        out.write("# limit: %s\n" % limit)
+        st = limit.stats
+        out.write("# limit: %s after %d decisions, %d conflicts, %d leaves\n"
+                  % (limit.limit, st.decisions, st.conflicts, st.leaves))
         return EXIT_LIMIT
     return EXIT_OK if count else EXIT_FAIL
 

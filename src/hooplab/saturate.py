@@ -461,6 +461,8 @@ class _InstanceIndex:
             if terms is None:
                 return ()
             sets.append(terms)
+        if not sets:
+            return self.owners     # a bare variable matches every term
         if len(sets) == 1:
             return sets[0]
         sets.sort(key=len)

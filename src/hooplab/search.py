@@ -1,13 +1,34 @@
-"""Backtracking finite-model search with isomorphism filtering.
+"""Backtracking finite-model search with isomorphism filtering, in the
+style of Mace4 (McCune, Mace4 Reference Manual, 2003) and SEM (Zhang and
+Zhang, IJCAI 1995).
 
-Table cells are assigned in a fixed order (constants, then function tables by
-arity, same-arity tables interleaved position by position,
-then relation tables).  Every ground instance of an assumption clause is
-compiled to a generated Python checker over the cell values (_compile).  It
-answers satisfied, conflict, the cell its evaluation is blocked on, or the
-value unit propagation forces into a cell.  Each instance watches the cell
-it is blocked on and is re-checked when that cell gets a value; conflicts
-prune the branch and forced values are assigned at once.
+Table cells are assigned in a fixed, concentric order: constants first, then
+function tables by arity, and within an arity by the cell's largest argument
+before its position (same-arity tables interleaved position by position);
+relation tables come last.  So the elements that the assigned cells mention
+grow one at a time.
+
+Each assumption clause is compiled to one generated Python checker whose
+parameters are the clause's variables; a ground instance is that checker
+with the variables bound (_compile).  It answers satisfied, conflict, the
+cell its evaluation is blocked on, the value unit propagation forces into a
+cell, or that it is down to one unknown cell and forces nothing.  Each
+instance watches the cell it is blocked on and is re-checked when that cell
+gets a value; conflicts prune the branch and forced values are assigned at
+once.  Every cell also keeps a domain, a bitmask of the values not yet ruled
+out: an instance down to one unknown cell is tried with each value left in
+it, and the values under which it fails are removed (negative propagation).
+An emptied domain is a conflict, a domain left with one value forces it, and
+a forced value outside the domain is a conflict.  Assignments, watches and
+domains are logged per decision level and undone on backtrack.
+
+Up to isomorphism, a decision tries only the elements already mentioned by
+the assigned cells (their arguments along the fixed order and their values)
+and the first fresh one (least-number heuristic).  This is sound: the fresh
+elements are interchangeable under everything assigned so far, including
+every value removed from a domain, since a value is removed only when no
+model extends the assignment with it.  So if the first fresh value has no
+model, or was removed, no fresh value has one.
 
 Goals put the search in counterexample mode: emitted models must falsify at
 least one goal.  Functions and relations that an assumption defines (see
@@ -20,6 +41,7 @@ symbol are checked.
 from __future__ import annotations
 
 import time
+from functools import partial
 from itertools import product
 
 from .model import FiniteModel, unflatten
@@ -30,13 +52,26 @@ class SearchError(ValueError):
     pass
 
 
+class SearchStats:
+    """How far a search got: values tried at decision points, those that
+    failed in propagation, values removed from cell domains, and complete
+    assignments reached (before the leaf check)."""
+
+    __slots__ = ("decisions", "conflicts", "eliminated", "leaves")
+
+    def __init__(self):
+        self.decisions = self.conflicts = self.eliminated = self.leaves = 0
+
+
 class SearchLimit(Exception):
     """Raised by enumerate_models when a resource limit cuts the search
-    short, so limit termination is distinguishable from exhaustion."""
+    short, so limit termination is distinguishable from exhaustion; stats
+    says how far the search got."""
 
-    def __init__(self, limit: str):
+    def __init__(self, limit: str, stats: SearchStats):
         super().__init__(limit)
         self.limit = limit
+        self.stats = stats
 
 
 class SearchOptions:
@@ -75,21 +110,7 @@ class _Searcher:
             self.is_rel_cell += [(s, a) in rels] * self.n ** a
         self.cell_count = len(self.is_rel_cell)
 
-        # assignment order: same-arity tables interleaved position by
-        # position, so axioms coupling two operations fail early; searched
-        # relations still come last
-        keys = []
-        for seq, (s, a) in enumerate(funs):
-            for i in range(self.n ** a):
-                keys.append(((0, a, i, seq), self.base[s] + i))
-        for seq, (s, a) in enumerate(rels):
-            for i in range(self.n ** a):
-                keys.append(((1, a, i, seq), self.base[s] + i))
-        keys.sort()
-        self.order = [cell for _, cell in keys]
-
-        # prefix max of argument indices along the order, for least-number
-        # pruning
+        # digits[cell]: the largest argument of the cell (-1 for constants)
         digits = [0] * self.cell_count
         for s, a in funs + rels:
             for i in range(self.n ** a):
@@ -99,6 +120,23 @@ class _Searcher:
                     j, d = divmod(j, self.n)
                     digits_max = max(digits_max, d)
                 digits[self.base[s] + i] = digits_max
+
+        # assignment order, concentric as in Mace4: by largest argument
+        # before position, so the elements in use grow one at a time; within
+        # that, same-arity tables interleaved position by position, so
+        # axioms coupling two operations fail early; searched relations
+        # still come last
+        keys = []
+        for kind, syms in enumerate((funs, rels)):
+            for seq, (s, a) in enumerate(syms):
+                for i in range(self.n ** a):
+                    cell = self.base[s] + i
+                    keys.append(((kind, a, digits[cell], i, seq), cell))
+        keys.sort()
+        self.order = [cell for _, cell in keys]
+
+        # prefix max of argument indices along the order, for least-number
+        # pruning
         self.smax = []
         acc = -1
         for cell in self.order:
@@ -115,29 +153,38 @@ class _Searcher:
                 self.leaf_formulas.append(f)
             else:
                 clauses.extend(clausify(f, "assumption"))
-        self.force_mult = max(self.n, 2)
+        # forced codes carry cell * mult + value; value slot mult - 1 says
+        # "one unknown cell, nothing forced"
+        self.force_mult = max(self.n, 2) + 1
+        self.unforced = self.force_mult - 1
+        self.stats = SearchStats()
         self.checkers = self._compile(clauses)
 
     def _compile(self, clauses):
-        """Compile every ground instance of clauses to a checker function.
+        """Compile each clause to one checker function and bind its ground
+        instances.
 
-        An instance is a clause with an element substituted for each of its
-        variables.  Its checker is generated in one post-order walk over
-        each literal's terms: every table lookup becomes ``tK = vals[cell]``,
-        with the cell index folded to a number when all arguments are
-        elements and computed into ``cK`` otherwise.  An unassigned lookup
-        counts in ``nb``, the first such cell goes to ``b``, and the rest of
-        its literal is skipped; a literal whose lookups all succeed is
+        Clause K becomes ``chkK(a0, a1, ..., vals)``, the parameters being
+        its variables in name order, and each instance is
+        ``partial(chkK, *values)``: one generated function per clause, not
+        per instance.  The body is written in one post-order walk over each
+        literal's terms: every table lookup becomes ``tK = vals[cell]``,
+        with the cell index a number for a constant and computed into
+        ``cK`` from the arguments otherwise.  An unassigned lookup counts in
+        ``nb``, the first such cell goes to ``b``, and the rest of its
+        literal is skipped; a literal whose lookups all succeed is
         evaluated, and a true one returns at once.
 
         checker(vals) -> -2 satisfied, -1 conflict, a cell id >= 0 the
-        evaluation is blocked on, or <= -10 encoding a forced value:
-        -10 - (cell * mult + value) says that cell must hold that value.
-        A value is forced by unit propagation: every other literal of the
-        instance is false and the remaining literal's only unknown is its
-        last table lookup (for a positive equality the forced value is the
-        other side; for a relation literal it is the required truth value,
-        1 or 0).
+        evaluation is blocked on (more than one lookup blocked), or <= -10
+        encoding -10 - (cell * mult + value) when exactly one lookup is
+        blocked, on that cell.  A value below ``self.unforced`` is forced
+        by unit propagation: every other literal of the instance is false
+        and the remaining literal's only unknown is its last table lookup
+        (for a positive equality the forced value is the other side; for a
+        relation literal it is the required truth value, 1 or 0).  The
+        value ``self.unforced`` says the instance forces nothing; trying the
+        cell's values one by one then tells which of them it rules out.
         """
         n, mult, base = self.n, self.force_mult, self.base
         lines = []
@@ -148,15 +195,14 @@ class _Searcher:
         def lookup(name, args, forced=None):
             # one table lookup; code after it runs only when it succeeded
             nonlocal depth, tmp
-            weights = [n ** (len(args) - 1 - i) for i in range(len(args))]
-            if all(a.isdigit() for a in args):
-                cell = str(base[name] + sum(
-                    w * int(a) for w, a in zip(weights, args)))
-            else:
+            if args:
                 cell = "c%d" % tmp
                 put("%s = %s" % (cell, " + ".join([str(base[name])] + [
-                    a if w == 1 else "%d*%s" % (w, a)
-                    for w, a in zip(weights, args)])))
+                    a if i + 1 == len(args)
+                    else "%d*%s" % (n ** (len(args) - 1 - i), a)
+                    for i, a in enumerate(args)])))
+            else:
+                cell = str(base[name])
             t = "t%d" % tmp
             tmp += 1
             put("%s = vals[%s]" % (t, cell))
@@ -172,50 +218,57 @@ class _Searcher:
         def term(t, forced=None):
             # post-order: the arguments' lookups come before the root's
             if t[0] == VAR:
-                return str(env[t[1]])
+                return env[t[1]]
             return lookup(t[0], [term(a) for a in t[1:]], forced)
 
-        count = 0
-        for clause in clauses:
+        arities = []
+        for k, clause in enumerate(clauses):
             names = sorted({v for _, a in clause for t in a[1:]
                             for v in term_vars(t)})
-            for values in product(range(n), repeat=len(names)):
-                env = dict(zip(names, values))
-                lines += ["def chk%d(vals):" % count,
-                          "    b = -1", "    nb = 0", "    f = -1"]
-                count += 1
-                tmp = 0
-                for pol, atom in clause:
-                    depth = 1
-                    if atom[0] != "=":
-                        cond = lookup(atom[0], [term(a) for a in atom[1:]],
-                                      "1" if pol else "0")
-                    elif atom[2][0] == VAR:
-                        # the last lookup, if any, is the left side's root
-                        rhs = str(env[atom[2][1]])
-                        cond = "%s == %s" % (
-                            term(atom[1], rhs if pol else None), rhs)
-                    else:
-                        lhs = term(atom[1])
-                        cond = "%s == %s" % (
-                            lhs, term(atom[2], lhs if pol else None))
-                    put("if %s%s: return -2" % ("" if pol else "not ", cond))
-                lines += ["    if nb == 0: return -1",
-                          "    if nb == 1 and f >= 0: return -10 - f",
-                          "    return b"]
+            env = {v: "a%d" % i for i, v in enumerate(names)}
+            arities.append(len(names))
+            lines += ["def chk%d(%s):" % (k, ", ".join(
+                          [env[v] for v in names] + ["vals"])),
+                      "    b = -1", "    nb = 0", "    f = -1"]
+            tmp = 0
+            for pol, atom in clause:
+                depth = 1
+                if atom[0] != "=":
+                    cond = lookup(atom[0], [term(a) for a in atom[1:]],
+                                  "1" if pol else "0")
+                elif atom[2][0] == VAR:
+                    # the last lookup, if any, is the left side's root
+                    rhs = env[atom[2][1]]
+                    cond = "%s == %s" % (
+                        term(atom[1], rhs if pol else None), rhs)
+                else:
+                    lhs = term(atom[1])
+                    cond = "%s == %s" % (
+                        lhs, term(atom[2], lhs if pol else None))
+                put("if %s%s: return -2" % ("" if pol else "not ", cond))
+            lines += ["    if nb == 0: return -1",
+                      "    if nb == 1: return -10 - (f if f >= 0 else "
+                      "b * %d + %d)" % (mult, self.unforced),
+                      "    return b"]
         ns = {}
         exec("\n".join(lines), ns)  # noqa: S102 - generated from terms only
-        return [ns["chk%d" % i] for i in range(count)]
+        return [partial(ns["chk%d" % k], *values)
+                for k, arity in enumerate(arities)
+                for values in product(range(n), repeat=arity)]
 
     # ---- search
 
     def run(self):
         """Every leaf model in search order, isomorphic copies included."""
         vals = [None] * self.cell_count
+        full = (1 << self.n) - 1
+        # dom[cell]: bitmask of the values not yet ruled out for the cell
+        self.dom = [3 if rel else full for rel in self.is_rel_cell]
         watch = [[] for _ in range(self.cell_count)]
         self.era = [0] * self.cell_count
         self.sat_token = [None] * len(self.checkers)
-        mult = self.force_mult
+        mult, unforced = self.force_mult, self.unforced
+        stats = self.stats
 
         # initial pass: register watches; values dictated by variable-free
         # unit instances are assigned up front and never undone
@@ -229,14 +282,14 @@ class _Searcher:
             elif res <= -10:
                 c, v = divmod(-10 - res, mult)
                 watch[c].append(idx)
-                if init_forced.setdefault(c, v) != v:
+                if v != unforced and init_forced.setdefault(c, v) != v:
                     return
         root_vmax = -1
-        root_wlog, root_trail = [], []
+        root_wlog, root_trail, root_dtrail = [], [], []
         for c, v in sorted(init_forced.items()):
             if vals[c] is None:
                 ok, vm = self._propagate(c, v, vals, watch, root_wlog,
-                                         root_trail)
+                                         root_trail, root_dtrail)
                 if not ok:
                     return
                 root_vmax = max(root_vmax, vm)
@@ -247,15 +300,18 @@ class _Searcher:
                     if self.opts.max_seconds else None)
         # per decision level: trail[pos] = cells assigned by that decision
         # (the decision cell plus everything unit propagation forced),
-        # wlog[pos] = watch-list additions; both undone LIFO on backtrack.
+        # wlog[pos] = watch-list additions, dtrail[pos] = (cell, old domain)
+        # for every domain narrowed; all undone LIFO on backtrack.
         # vmax[pos]: largest element value assigned up to and including pos.
         # era[cell] ticks whenever that cell's assignment changes; a cached
         # "satisfied at (cell, era)" verdict stays valid while era holds.
         trail = [[] for _ in range(self.cell_count)]
         wlog = [[] for _ in range(self.cell_count)]
+        dtrail = [[] for _ in range(self.cell_count)]
         vmax = [-1] * self.cell_count
         order = self.order
         era = self.era
+        dom = self.dom
         stack = []
 
         def push(pos):
@@ -273,7 +329,7 @@ class _Searcher:
             ticks += 1
             if deadline is not None and not ticks & 1023 \
                     and time.monotonic() > deadline:
-                raise SearchLimit("max_seconds")
+                raise SearchLimit("max_seconds", stats)
             pos, it, noop = stack[-1]
             for b in reversed(wlog[pos]):
                 watch[b].pop()
@@ -282,6 +338,9 @@ class _Searcher:
                 vals[c] = None
                 era[c] += 1
             trail[pos].clear()
+            for c, d in reversed(dtrail[pos]):
+                dom[c] = d
+            dtrail[pos].clear()
             v = next(it, None)
             if v is None:
                 stack.pop()
@@ -290,12 +349,15 @@ class _Searcher:
             if noop:
                 vmax[pos] = before
             else:
+                stats.decisions += 1
                 ok, vm = self._propagate(order[pos], v, vals, watch,
-                                         wlog[pos], trail[pos])
+                                         wlog[pos], trail[pos], dtrail[pos])
                 vmax[pos] = max(before, vm)
                 if not ok:
+                    stats.conflicts += 1
                     continue
             if pos + 1 == self.cell_count:
+                stats.leaves += 1
                 m = self._leaf_model(vals)
                 if m is not None:
                     yield m
@@ -305,36 +367,44 @@ class _Searcher:
 
     def _domain(self, pos, vmax_before):
         cell = self.order[pos]
-        if self.is_rel_cell[cell]:
-            return (0, 1)
-        if self.opts.upto_iso:
+        d = self.dom[cell]
+        top = d.bit_length()
+        if self.opts.upto_iso and not self.is_rel_cell[cell]:
             # least-number heuristic: elements beyond the largest one
             # mentioned so far are interchangeable, so trying the first
-            # fresh one is enough; sound up to isomorphism
-            top = max(vmax_before, self.smax[pos])
-            return range(min(self.n, top + 2))
-        return range(self.n)
+            # fresh one is enough; sound up to isomorphism, also when the
+            # domain has lost that one (then every fresh one has no model)
+            top = min(top, max(vmax_before, self.smax[pos]) + 2)
+        return [v for v in range(top) if d >> v & 1]
 
-    def _propagate(self, cell, value, vals, watch, wlog, trail):
-        """Assign cell := value and unit propagate to a fixed point.
+    def _propagate(self, cell, value, vals, watch, wlog, trail, dtrail):
+        """Assign cell := value and propagate to a fixed point.
 
         Instances watching an assigned cell are re-checked; newly blocked
         ones additionally watch their blocking cell.  A value dictated by a
         unit instance is assigned immediately (possibly out of cell order)
-        and propagated in turn.  Conflicting dictated values fail at once.
-        Returns (ok, vmax) where vmax is the largest element assigned to a
-        function cell here; all additions are logged for backtracking."""
+        and propagated in turn.  An instance down to one unknown cell that
+        dictates nothing is tried with each value left in that cell's
+        domain, and the values under which it fails are removed; a domain
+        left with one value dictates it.  A dictated value outside its
+        cell's domain, or an emptied domain, fails at once.  Returns (ok,
+        vmax) where vmax is the largest element assigned to a function cell
+        here; all changes are logged for backtracking."""
         checkers = self.checkers
         era = self.era
         tokens = self.sat_token
-        mult = self.force_mult
+        mult, unforced = self.force_mult, self.unforced
         is_rel = self.is_rel_cell
+        dom = self.dom
+        stats = self.stats
         queue = [(cell, value)]
         pending = {cell: value}
         new_vmax = -1
         while queue:
             c0, v0 = queue.pop()
             del pending[c0]
+            if not dom[c0] >> v0 & 1:
+                return False, new_vmax
             vals[c0] = v0
             era[c0] += 1
             trail.append(c0)
@@ -345,27 +415,46 @@ class _Searcher:
                 tok = tokens[idx]
                 if tok is not None and era[tok[0]] == tok[1]:
                     continue
-                res = checkers[idx](vals)
+                chk = checkers[idx]
+                res = chk(vals)
                 if res == -1:
                     return False, new_vmax
                 if res == -2:
                     tokens[idx] = (c0, here)
-                elif res >= 0:
+                    continue
+                if res >= 0:
                     watch[res].append(idx)
                     wlog.append(res)
-                else:
-                    c, v = divmod(-10 - res, mult)
-                    watch[c].append(idx)
-                    wlog.append(c)
-                    w = vals[c]
-                    if w is None:
-                        w = pending.get(c)
-                        if w is None:
-                            pending[c] = v
-                            queue.append((c, v))
-                            continue
-                    if w != v:
+                    continue
+                c, v = divmod(-10 - res, mult)
+                watch[c].append(idx)
+                wlog.append(c)
+                if v == unforced:
+                    old = left = dom[c]
+                    rest = old
+                    while rest:
+                        bit = rest & -rest
+                        rest ^= bit
+                        vals[c] = bit.bit_length() - 1
+                        if chk(vals) == -1:
+                            left ^= bit
+                            stats.eliminated += 1
+                    vals[c] = None
+                    if left == old:
+                        continue
+                    if not left:
                         return False, new_vmax
+                    dtrail.append((c, old))
+                    dom[c] = left
+                    if left & (left - 1):
+                        continue
+                    v = left.bit_length() - 1
+                w = pending.get(c)
+                if w is None:
+                    pending[c] = v
+                    queue.append((c, v))
+                elif w != v:
+                    return False, new_vmax
         return True, new_vmax
 
     def _leaf_model(self, vals):
@@ -393,11 +482,12 @@ def enumerate_models(theory, opts: SearchOptions):
     the first model found in each isomorphism class is emitted.  Raises
     SearchLimit when max_models or max_seconds cuts the search short.
     """
-    models = _Searcher(theory, opts).run()
+    searcher = _Searcher(theory, opts)
+    models = searcher.run()
     if opts.upto_iso:
         models = (m.permuted(perm) for m, perm in _first_of_class(models))
     if opts.max_models is not None:
-        models = _capped(models, opts.max_models)
+        models = _capped(models, opts.max_models, searcher.stats)
     return models
 
 
@@ -412,16 +502,16 @@ def _first_of_class(models):
             yield m, perm
 
 
-def _capped(models, cap):
+def _capped(models, cap, stats):
     """At most cap models.  SearchLimit is raised at the first model past
     the cap, which for cap >= 1 is right after the last one admitted, so
     the search does not go on to look for it."""
     for i, m in enumerate(models):
         if i == cap:
-            raise SearchLimit("max_models")
+            raise SearchLimit("max_models", stats)
         yield m
         if i + 1 == cap:
-            raise SearchLimit("max_models")
+            raise SearchLimit("max_models", stats)
 
 
 def count_models(theory, size, upto_iso=True) -> int:

@@ -78,6 +78,19 @@ def test_enumerate_no_models():
     assert code == 1 or "models: 0" in out
 
 
+def test_enumerate_limit_says_how_far_it_got():
+    code, out = run("enumerate", "--builtin", "hoop", "--size", "4",
+                    "--max-models", "2", "--format", "compact")
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[-2] == "models: 2"
+    head, counts = lines[-1].split(" after ")
+    assert head == "# limit: max_models"
+    decisions, conflicts, leaves = [int(part.split()[0])
+                                    for part in counts.split(", ")]
+    assert decisions > 0 and leaves >= 2
+
+
 def test_verify_roundtrip(tmp_path):
     proof = tmp_path / "p.txt"
     code, _ = run("prove", "-f", data("semilattice.ax"), data("sl-pr1.gl"),

@@ -338,6 +338,25 @@ end_of_list.
         False, "step 3 does not deny the goal")
 
 
+def test_equation_with_a_variable_side():
+    # x = d has a bare variable as a side; back-simplification looks up
+    # its instances among all stored terms
+    th = parse_source("""
+formulas(assumptions).
+   f(y) = c.
+   x = d.
+end_of_list.
+formulas(goals).
+   f(c) = d.
+end_of_list.
+""")
+    out = prove(th, ProverLimits(max_given=100))
+    assert out.status in ("proved", "exhausted", "limit")
+    if out.status == "proved":
+        ok, report = verify_proof(th, out.proof)
+        assert ok, report
+
+
 _SL_IDEMPOTENT = """1 x cup (x cup x) = x # label(non_clause) # label(goal).  [goal].
 4 x cup x = x.  [assumption].
 5 c1 cup (c1 cup c1) != c1.  [deny(1)].

@@ -10,7 +10,7 @@ from hooplab.search import (
     SearchError, SearchLimit, SearchOptions, count_models, enumerate_models,
     isofilter,
 )
-from hooplab.syntax import parse_source
+from hooplab.syntax import parse_formula_text, parse_source
 
 SEMILATTICE = builtin_theory("semilattice")
 HOOP = builtin_theory("hoop")
@@ -79,10 +79,43 @@ def test_max_models_limit_small(limit):
 
 
 def test_max_seconds_limit_raises():
-    with pytest.raises(SearchLimit):
+    with pytest.raises(SearchLimit) as exc:
         for _ in enumerate_models(HOOP, SearchOptions(6,
                                                       max_seconds=0.05)):
             pass
+    assert exc.value.limit == "max_seconds"
+    stats = exc.value.stats
+    assert stats.decisions > 0 and stats.conflicts > 0
+
+
+BUILTINS = ["semilattice", "semilattice_ge", "hoop", "pocrim", "hoop_defs",
+            "hoop_linear"]
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_least_number_pruning_keeps_every_class(name):
+    # least-number pruning and domain elimination drop labelled models but
+    # no isomorphism class: the classes of the labelled enumeration are
+    # exactly those found up to isomorphism
+    th = builtin_theory(name)
+    for n in range(1, 4 if name == "pocrim" else 5):
+        labelled = list(enumerate_models(th, SearchOptions(n)))
+        want = {m.canonical_labeling()[0] for m in isofilter(labelled)}
+        got = {m.canonical_labeling()[0]
+               for m in enumerate_models(th, SearchOptions(n, upto_iso=True))}
+        assert got == want, n
+        if name == "hoop" and n == 4:
+            assert len(labelled) == 4 * 24 + 12
+
+
+def test_hoops_of_size_6():
+    models = list(enumerate_models(HOOP, SearchOptions(6, upto_iso=True)))
+    assert len(models) == 23
+    assert len({m.canonical_labeling()[0] for m in models}) == 23
+    assert all(is_hoop(m) for m in models)
+    # the linear ones are the 2^(6-2) classes of hoop_linear
+    linear = parse_formula_text("x ~ y = 0 | y ~ x = 0", HOOP)
+    assert sum(m.satisfies(linear) for m in models) == 16
 
 
 def test_determinism():
