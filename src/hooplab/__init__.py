@@ -13,9 +13,9 @@ from .model import (FiniteModel, ModelError, deserialize_model, isomorphic,
 from .search import (SearchError, SearchLimit, SearchOptions, count_models,
                      enumerate_models, isofilter)
 from .saturate import (Exhausted, LimitReached, Outcome, Proof, ProofStep,
-                       Proved, ProverError, ProverLimits, mine_patterns,
-                       parse_proof, prove, render_proof, transform_proof,
-                       verify_proof)
+                       Proved, ProverError, ProverLimits, ProverStats,
+                       mine_patterns, parse_proof, prove, render_proof,
+                       transform_proof, verify_proof)
 from .hoops import (builtin_theory, decompose_linear, derived_tables,
                     direct_product, is_hoop, is_linear, linear_index_set,
                     lukasiewicz, name_property, ordinal_sum,

@@ -121,14 +121,15 @@ def _run_prover(theory, args, out, proof_sink):
             text = saturate.render_proof(outcome.proof, sub)
             out.write(text + "\n")
             proof_sink.append(text)
-        elif outcome.status == "exhausted":
-            out.write("SEARCH EXHAUSTED\n")
-            out.write("# goal: %s\n" % syntax.render_formula(goal, sub))
-            worst = max(worst, EXIT_FAIL)
         else:
-            out.write("LIMIT REACHED (%s)\n" % outcome.which)
+            if outcome.status == "exhausted":
+                out.write("SEARCH EXHAUSTED\n")
+                worst = max(worst, EXIT_FAIL)
+            else:
+                out.write("LIMIT REACHED (%s)\n" % outcome.which)
+                worst = max(worst, EXIT_LIMIT)
             out.write("# goal: %s\n" % syntax.render_formula(goal, sub))
-            worst = max(worst, EXIT_LIMIT)
+            out.write("# stats: %s\n" % outcome.stats)
     return worst
 
 

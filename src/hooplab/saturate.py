@@ -10,11 +10,22 @@ New clauses are simplified by demodulation, checked for tautology and
 forward subsumption, and added to the passive set.  The demodulators are
 the positive unit equations whose sides the LPO orders, rewriting the
 larger side to the smaller, and the input equations whose sides it cannot
-order, which rewrite either way on instances that get smaller.  One test
-(_State._root_step) decides whether a demodulator rewrites a term at its
-root; forward demodulation, the revalidation of memoized normal forms and
+order, which rewrite either way on instances that get smaller.  An input
+equation whose two readings are variants of each other (x + y = y + x) is
+indexed by its first reading only: the second rewrites exactly as the first
+does, and the first is always tried first.  One test (_State._root_step)
+decides whether a demodulator rewrites a term at its root; forward
+demodulation, the revalidation of memoized normal forms and
 back-simplification, in which a new demodulator simplifies again every
-live clause it rewrites, all use it.
+live clause it rewrites, all use it.  Forward demodulation takes the
+pattern's variable bindings from the discrimination tree that found it,
+so it never matches the pattern a second time.
+
+Paramodulation works from per-clause sites: each active clause keeps its
+readings as an equation and the subterms it can be paramodulated into
+(with the superposition side restriction applied), filed by head symbol.
+A pair whose readings meet none of the into-clause's heads is skipped
+before anything is renamed apart.
 
 For a symbol that the assumptions declare associative and commutative, a
 new clause with a positive equation whose sides are equal modulo AC is
@@ -33,10 +44,10 @@ import time
 from itertools import count
 
 from .terms import (GREATER, INCOMPARABLE, LESS, VAR, ac_normal,
-                    canonical_clause, clause_weight, clausify, is_tautology,
-                    lpo_gt, match, rename_apart, replace_at, substitute,
-                    substitute_clause, subterm_patterns,
-                    subterms, term_size, unify)
+                    canonical_clause, canonical_renaming, clause_weight,
+                    clausify, is_tautology, lpo_gt, match, rename_apart,
+                    replace_at, substitute, substitute_clause,
+                    subterm_patterns, subterms, term_size, unify)
 
 EMPTY = ()
 
@@ -101,14 +112,42 @@ class Proof:
         return {s.id: s for s in self.steps}
 
 
+class ProverStats:
+    """What a proof search did, in counters: given clauses; clauses the
+    inference rules generated; clauses kept (made live, input clauses
+    included); simplified clauses deleted as tautologies (AC ones
+    included), as duplicates of a live clause, or as forward-subsumed;
+    live clauses back-simplified; clauses made demodulators; and clears
+    of the normal-form memo."""
+
+    __slots__ = ("given", "generated", "kept", "tautologies", "duplicates",
+                 "forward_subsumed", "back_simplified", "demodulators",
+                 "memo_clears")
+
+    def __init__(self):
+        for name in self.__slots__:
+            setattr(self, name, 0)
+
+    def __str__(self):
+        return ", ".join("%d %s" % (getattr(self, name),
+                                    name.replace("_", " "))
+                         for name in self.__slots__)
+
+
 class Outcome:
+    """The result of a proof search; stats says how far it got."""
+
     status = None
+
+    def __init__(self, stats):
+        self.stats = stats
 
 
 class Proved(Outcome):
     status = "proved"
 
-    def __init__(self, proof):
+    def __init__(self, proof, stats):
+        super().__init__(stats)
         self.proof = proof
 
 
@@ -119,7 +158,8 @@ class Exhausted(Outcome):
 class LimitReached(Outcome):
     status = "limit"
 
-    def __init__(self, which):
+    def __init__(self, which, stats):
+        super().__init__(stats)
         self.which = which
 
 
@@ -343,8 +383,8 @@ class _DiscTree:
     """Perfect discrimination tree for generalization retrieval.  A pattern
     is stored as its preorder, with each variable numbered by its first
     occurrence; retrieval binds the variables as it walks, so every pattern
-    it returns matches the query.  A node is (symbol children, variable
-    children, leaf entries)."""
+    it returns matches the query, and it returns the match with it.  A
+    node is (symbol children, variable children, leaf entries)."""
 
     __slots__ = ("root",)
 
@@ -385,7 +425,9 @@ class _DiscTree:
         self._leaf(self._keys(pattern)).remove(value)
 
     def retrieve(self, term):
-        """The values of every pattern matching term."""
+        """(value, bindings) for every pattern matching term; bindings
+        holds the values of the pattern's variables by first-occurrence
+        number."""
         out = []
         # each state: (node, query subterms still to meet as a linked
         # list, variable values bound so far)
@@ -416,7 +458,8 @@ class _DiscTree:
                         tail = (a, tail)
                 rest = tail
             if node is not None:
-                out.extend(node[2])
+                for value in node[2]:
+                    out.append((value, binds))
         return out
 
 
@@ -517,19 +560,23 @@ class _State:
         self._by_weight = []    # heap of (weight, id); may hold stale ids
         self._by_age = []       # heap of ids; may hold stale ids
         self.keys = {}          # canonical clause -> its live id
-        # demodulator entries (seq, id, lhs, rhs, side, ordered): every one
-        # ever made (seq = index), the live ones by lhs, and by live id
+        # demodulator entries (seq, id, lhs, rhs, side, ordered, lhs
+        # variables by first occurrence): every one ever made (seq =
+        # index), the live ones by lhs, and by live id
         self._demod_log = []
         self.demod_ix = _DiscTree()
         self._demod_vals = {}
         self._root_memo = {}    # term -> (_rewrite_once result, log length)
         self._norm_memo = {}    # term -> (normal form, entries, log length)
-        self._lpo_cache = {}    # (s, t) -> lpo_gt(s, t)
+        # live id -> (readings, into-sites by head symbol, all into-sites)
+        self._sites = {}
         self.sub_ix = _InstanceIndex()  # subterms of the live clauses
         # forward subsumption: each live clause under one of its atoms
         self.clause_ix = _DiscTree()  # atom -> (id, polarity, atom)
         self.pick = 0
         self.salt = count(1)
+        self.stats = ProverStats()
+        self.deadline = None
 
     def _new_step(self, clause, justification):
         sid = next(self.ids)
@@ -566,18 +613,10 @@ class _State:
 
     # -- orientation / demodulation
 
-    def _lpo(self, s, t):
-        key = (s, t)
-        got = self._lpo_cache.get(key)
-        if got is None:
-            got = lpo_gt(s, t, self.prec)
-            self._lpo_cache[key] = got
-        return got
-
     def orient(self, s, t):
-        if self._lpo(s, t):
+        if lpo_gt(s, t, self.prec):
             return GREATER
-        if self._lpo(t, s):
+        if lpo_gt(t, s, self.prec):
             return LESS
         return "equal" if s == t else INCOMPARABLE
 
@@ -652,24 +691,27 @@ class _State:
                     else seen == len(self._demod_log)):
                 return hit
         hit = None
-        for val in sorted(self.demod_ix.retrieve(sub)):
-            hit = self._root_step(sub, val)
+        # seq orders the entries, so the bindings are never compared
+        for val, binds in sorted(self.demod_ix.retrieve(sub)):
+            hit = self._root_step(sub, val, dict(zip(val[6], binds)))
             if hit is not None:
                 break
         self._root_memo[sub] = (hit, len(self._demod_log))
         return hit
 
-    def _root_step(self, sub, val):
+    def _root_step(self, sub, val, binding=None):
         """The rewrite of sub at its root by demodulator entry val:
         (demod id, side, result), or None when the left-hand side does not
         match or, for an incomparable equation, the instance does not
-        shrink."""
-        _, did, lhs, rhs, side, ordered = val
-        b = match(lhs, sub)
-        if b is None:
-            return None
-        repl = substitute(rhs, b)
-        if ordered and not self._lpo(sub, repl):
+        shrink.  binding, when given, is the match of the left-hand side
+        to sub, found already."""
+        _, did, lhs, rhs, side, ordered, _ = val
+        if binding is None:
+            binding = match(lhs, sub)
+            if binding is None:
+                return None
+        repl = substitute(rhs, binding)
+        if ordered and not lpo_gt(sub, repl, self.prec):
             return None
         return did, side, repl
 
@@ -699,12 +741,16 @@ class _State:
     def keep(self, clause, justification):
         """Install a simplified clause as a new step unless it is
         redundant; its step id, or None."""
+        stats = self.stats
         if is_tautology(clause) or self._ac_tautology(clause):
+            stats.tautologies += 1
             return None
         key = canonical_clause(clause)
         if key in self.keys:
+            stats.duplicates += 1
             return None
         if clause and self._forward_subsumed(clause):
+            stats.forward_subsumed += 1
             return None
         sid = self._new_step(key, justification)
         if not clause:
@@ -721,6 +767,7 @@ class _State:
             for pol, atom in clause)
 
     def _install(self, sid, key, input_clause=False):
+        self.stats.kept += 1
         self.keys[key] = sid
         self.passive.add(sid)
         heapq.heappush(self._by_weight, (self.weight[sid], sid))
@@ -743,7 +790,7 @@ class _State:
         feats = _clause_feats(clause)
         tried = set()
         for pol, atom in clause:
-            for sid, pol2, _ in self.clause_ix.retrieve(atom):
+            for (sid, pol2, _), _ in self.clause_ix.retrieve(atom):
                 if pol2 != pol:
                     continue
                 other = self.steps[sid].clause
@@ -760,14 +807,21 @@ class _State:
         """Make a positive unit equation a demodulator and back-simplify
         with it.  One whose sides are incomparable (two entries) becomes
         one only as an input clause; it then rewrites either way, on
-        instances that decrease (e.g. commutativity sorts arguments)."""
+        instances that decrease (e.g. commutativity sorts arguments).  When
+        its two readings are variants of each other, only the first gets
+        an entry: the second gives the same rewrites."""
         eqs = self._equations_of(clause)
         ordered = len(eqs) == 2
         if not eqs or ordered and not input_clause:
             return
+        if ordered and canonical_clause(clause) == canonical_clause(
+                ((True, ("=", eqs[1][1], eqs[1][2])),)):
+            eqs = eqs[:1]
+        self.stats.demodulators += 1
         seq = len(self._demod_log)
         self._demod_vals[sid] = vals = [
-            (seq + i, sid, lhs, rhs, side, ordered)
+            (seq + i, sid, lhs, rhs, side, ordered,
+             tuple(canonical_renaming([lhs])))
             for i, (side, lhs, rhs) in enumerate(eqs)]
         for val in vals:
             self.demod_ix.insert(val[2], val)
@@ -789,6 +843,7 @@ class _State:
             # its copy is then added again (and dropped as a duplicate)
             if sid in self.live:
                 self._retire(sid)
+                self.stats.back_simplified += 1
             self.add(self.steps[sid].clause, [("copy", sid)])
 
     def _retire(self, sid):
@@ -797,6 +852,7 @@ class _State:
             self.clause_ix.remove(val[2], val)
         self.active.pop(sid, None)
         self.passive.discard(sid)
+        self._sites.pop(sid, None)
         clause = self.steps[sid].clause
         if self.keys.get(clause) == sid:
             del self.keys[clause]
@@ -808,6 +864,7 @@ class _State:
                 self.demod_ix.remove(val[2], val)
             # normal forms are recomputed from the remaining demodulators
             self._norm_memo.clear()
+            self.stats.memo_clears += 1
 
     # -- inference rules
 
@@ -828,18 +885,17 @@ class _State:
             return [("l", s, t), ("r", t, s)]
         return []
 
-    def _paramodulate(self, from_id, into_id, out):
-        from_cl = self.steps[from_id].clause
-        eqs = self._equations_of(from_cl)
-        if not eqs:
-            return
-        into_cl = self.steps[into_id].clause
-        # orient the stored clause, whose comparisons recur in the LPO
-        # cache, and rename only the chosen sides apart
-        _, left, right = rename_apart(from_cl, next(self.salt))[0][1]
-        for side, _, _ in eqs:
-            lhs, rhs = (left, right) if side == "l" else (right, left)
-            for li, (pol, atom) in enumerate(into_cl):
+    def _para_sites(self, sid):
+        """Clause sid's readings as a paramodulation source
+        (_equations_of), and the sites (li, ai, path, subterm) it can be
+        paramodulated into, by head symbol and all together, each in
+        visiting order: literals, then atom arguments, then subterms in
+        preorder.  Cached while the clause lives."""
+        got = self._sites.get(sid)
+        if got is None:
+            clause = self.steps[sid].clause
+            by_head, every = {}, []
+            for li, (pol, atom) in enumerate(clause):
                 if atom[0] == "=":
                     # superposition restriction: rewrite only the maximal
                     # side of an orientable equation
@@ -848,22 +904,43 @@ class _State:
                 else:
                     sides = range(1, len(atom))
                 for ai in sides:
-                    t = atom[ai]
-                    for path, sub in _nonvar_subterms(t):
-                        if lhs[0] != VAR and (sub[0] != lhs[0]
-                                              or len(sub) != len(lhs)):
-                            continue    # unify would fail at the root
-                        b = unify(lhs, sub)
-                        if b is None:
-                            continue
-                        new_t = replace_at(t, path, substitute(rhs, b))
-                        new_atom = atom[:ai] + (new_t,) + atom[ai + 1:]
-                        new_cl = substitute_clause(
-                            into_cl[:li] + ((pol, new_atom),)
-                            + into_cl[li + 1:], b)
-                        out.append((new_cl, [(
-                            "para", from_id, side, into_id, li,
-                            (ai,) + tuple(p + 1 for p in path))]))
+                    for path, sub in _nonvar_subterms(atom[ai]):
+                        site = (li, ai, path, sub)
+                        every.append(site)
+                        by_head.setdefault(sub[0], []).append(site)
+            got = self._sites[sid] = (self._equations_of(clause), by_head,
+                                      every)
+        return got
+
+    def _paramodulate(self, from_id, into_id, out):
+        eqs = self._para_sites(from_id)[0]
+        if not eqs:
+            return
+        _, by_head, every = self._para_sites(into_id)
+        if not any(lhs[0] == VAR or lhs[0] in by_head for _, lhs, _ in eqs):
+            return
+        into_cl = self.steps[into_id].clause
+        # the readings are of the stored clause; rename only the chosen
+        # sides apart
+        _, left, right = rename_apart(self.steps[from_id].clause,
+                                      next(self.salt))[0][1]
+        for side, _, _ in eqs:
+            lhs, rhs = (left, right) if side == "l" else (right, left)
+            sites = every if lhs[0] == VAR else by_head.get(lhs[0], ())
+            for li, ai, path, sub in sites:
+                if len(sub) != len(lhs) and lhs[0] != VAR:
+                    continue    # unify would fail at the root
+                b = unify(lhs, sub)
+                if b is None:
+                    continue
+                pol, atom = into_cl[li]
+                new_t = replace_at(atom[ai], path, substitute(rhs, b))
+                new_atom = atom[:ai] + (new_t,) + atom[ai + 1:]
+                new_cl = substitute_clause(
+                    into_cl[:li] + ((pol, new_atom),) + into_cl[li + 1:], b)
+                out.append((new_cl, [(
+                    "para", from_id, side, into_id, li,
+                    (ai,) + tuple(p + 1 for p in path))]))
 
     def _resolve(self, id1, id2, out):
         feats2 = self.feats[id2]
@@ -927,40 +1004,51 @@ class _State:
         self.passive.discard(sid)
         return sid
 
+    def _late(self):
+        return self.deadline is not None and time.monotonic() > self.deadline
+
     def run(self):
+        """The search's outcome.  max_seconds is checked before each given
+        clause, between its active partners and between the clauses it
+        generated."""
+        stats = self.stats
         try:
             self.load()
         except _Contradiction as c:
-            return Proved(self._reconstruct(c.step_id))
-        deadline = (time.monotonic() + self.limits.max_seconds
-                    if self.limits.max_seconds else None)
-        given_count = 0
+            return Proved(self._reconstruct(c.step_id), stats)
+        if self.limits.max_seconds:
+            self.deadline = time.monotonic() + self.limits.max_seconds
         while self.passive:
-            if deadline is not None and time.monotonic() > deadline:
-                return LimitReached("max_seconds")
+            if self._late():
+                return LimitReached("max_seconds", stats)
             if self.should_stop is not None and self.should_stop():
-                return LimitReached("cancelled")
+                return LimitReached("cancelled", stats)
             if (self.limits.max_given is not None
-                    and given_count >= self.limits.max_given):
-                return LimitReached("max_given")
+                    and stats.given >= self.limits.max_given):
+                return LimitReached("max_given", stats)
             given = self.select_given()
-            given_count += 1
+            stats.given += 1
             self.active[given] = None
             new = []
             self._factor(given, new)
             self._equality_resolve(given, new)
             for other in list(self.active):
+                if self._late():
+                    return LimitReached("max_seconds", stats)
                 self._paramodulate(given, other, new)
                 if other != given:
                     self._paramodulate(other, given, new)
                     self._resolve(given, other, new)
                     self._resolve(other, given, new)
+            stats.generated += len(new)
             try:
                 for clause, just in new:
+                    if self._late():
+                        return LimitReached("max_seconds", stats)
                     self.add(clause, just)
             except _Contradiction as c:
-                return Proved(self._reconstruct(c.step_id))
-        return Exhausted()
+                return Proved(self._reconstruct(c.step_id), stats)
+        return Exhausted(stats)
 
     def _reconstruct(self, final_id):
         needed = set()
@@ -975,6 +1063,9 @@ class _State:
 
 
 def prove(theory, limits: ProverLimits = None, should_stop=None) -> Outcome:
+    """Search for a proof of theory's one goal.  should_stop, when given,
+    is called once before each given clause and cancels the search by
+    returning true, so callers may count given clauses with it."""
     return _State(theory, limits or ProverLimits(), should_stop).run()
 
 

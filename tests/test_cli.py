@@ -45,6 +45,18 @@ def test_prove_unprovable_exhausts():
                                    "LIMIT REACHED (max_seconds)")
 
 
+def test_prove_limit_prints_stats():
+    code, out = run("prove", "-f", data("semilattice.ax"),
+                    data("sl-ge-def.ax"), data("sl-total.gl"),
+                    "--max-given", "20")
+    assert code == 2
+    verdict, goal, stats = out.splitlines()
+    assert (verdict, goal) == ("LIMIT REACHED (max_given)",
+                               "# goal: x >= y | y >= x")
+    assert stats.startswith("# stats: 20 given, ")
+    assert stats.endswith(" memo clears")
+
+
 def test_prove_missing_file_usage_error():
     code, _ = run("prove", "-f", "no-such-file-anywhere.ax")
     assert code == 3

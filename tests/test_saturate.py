@@ -3,15 +3,22 @@ text format, mining."""
 
 import os
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
+from hooplab import saturate
 from hooplab.hoops import builtin_theory
 from hooplab.saturate import (
-    Proof, ProofStep, ProverError, ProverLimits, mine_patterns, parse_proof,
-    prove, render_proof, transform_proof, verify_proof,
+    Proof, ProofStep, ProverError, ProverLimits, ProverStats, mine_patterns,
+    parse_proof, prove, render_proof, transform_proof, verify_proof,
 )
 from hooplab.syntax import Theory, parse_formula_text, parse_source
-from hooplab.terms import canonical_clause
+from hooplab.terms import (
+    GREATER, LESS, VAR, canonical_clause, canonical_renaming, match,
+    positions, rename_apart, replace_at, substitute, substitute_clause,
+    subterm_at, unify, var,
+)
 
 SL = builtin_theory("semilattice")
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "src", "hooplab",
@@ -387,3 +394,185 @@ def test_verify_rejects_bad_equation_steps(head, last, report):
     th = with_goal(SL, goal)
     proof = parse_proof(head + "6 $F.  %s.\n" % last, th)
     assert verify_proof(th, proof) == (False, "step 6: " + report)
+
+
+# ---------------------------------------------------------------------------
+# the prover's fast paths against their definitions
+
+X, Y, Z = var("x"), var("y"), var("z")
+
+_terms = st.recursive(
+    st.sampled_from([X, Y, Z, ("a",), ("b",)]),
+    lambda sub: (st.builds(lambda s: ("g", s), sub)
+                 | st.builds(lambda s, t: ("f", s, t), sub, sub)),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_terms, min_size=1, max_size=8), _terms)
+# non-linear patterns, and query variables that only a pattern variable
+# matches
+@example([("f", X, X), ("f", X, Y), ("f", ("a",), X), X],
+         ("f", Y, Y))
+@example([("f", X, X), ("f", ("g", X), Y), ("g", ("a",))],
+         ("f", ("g", Z), ("g", Z)))
+def test_disc_tree_retrieves_exactly_the_matching_patterns(patterns, term):
+    """retrieve returns each stored pattern that terms.match accepts, once,
+    with match's binding (variables by first occurrence), and nothing
+    else."""
+    tree = saturate._DiscTree()
+    for i, pat in enumerate(patterns):
+        tree.insert(pat, i)
+    got = {}
+    for i, binds in tree.retrieve(term):
+        assert i not in got
+        got[i] = dict(zip(canonical_renaming([patterns[i]]), binds))
+    want = {i: b for i, b in ((i, match(pat, term))
+                              for i, pat in enumerate(patterns))
+            if b is not None}
+    assert got == want
+
+
+def _reference_paramodulate(state, from_id, into_id):
+    """Paramodulation as it was before per-clause sites: every reading of
+    the from-clause against every non-variable subterm of the into-clause's
+    literals, maximal sides only for orientable equations."""
+    from_cl = state.steps[from_id].clause
+    eqs = state._equations_of(from_cl)
+    into_cl = state.steps[into_id].clause
+    if not eqs:
+        return []
+    out = []
+    _, left, right = rename_apart(from_cl, 10 ** 6)[0][1]
+    for side, _, _ in eqs:
+        lhs, rhs = (left, right) if side == "l" else (right, left)
+        for li, (pol, atom) in enumerate(into_cl):
+            if atom[0] == "=":
+                sides = {GREATER: (1,), LESS: (2,)}.get(
+                    state.orient(atom[1], atom[2]), (1, 2))
+            else:
+                sides = range(1, len(atom))
+            for ai in sides:
+                t = atom[ai]
+                for path in positions(t):
+                    sub = subterm_at(t, path)
+                    if sub[0] == VAR:
+                        continue
+                    b = unify(lhs, sub)
+                    if b is None:
+                        continue
+                    new_t = replace_at(t, path, substitute(rhs, b))
+                    new_atom = atom[:ai] + (new_t,) + atom[ai + 1:]
+                    out.append((substitute_clause(
+                        into_cl[:li] + ((pol, new_atom),) + into_cl[li + 1:],
+                        b), [("para", from_id, side, into_id, li,
+                              (ai,) + tuple(p + 1 for p in path))]))
+    return out
+
+
+def test_cached_sites_paramodulate_as_the_reference():
+    th = data_theory("hoop.ax", "hoop-ge-def.ax", "hp-plus-mono.gl")
+    state = saturate._State(th, ProverLimits(max_given=20))
+    assert state.run().which == "max_given"
+    # x = 0 has a variable side, which unifies with every site; it is
+    # made a step only, so it rewrites nothing
+    var_side = state._new_step(((True, ("=", X, ("0",))),),
+                               [("assumption",)])
+    pairs = made = 0
+    for a in list(state.active) + [var_side]:
+        for b in state.active:
+            got = []
+            state._paramodulate(a, b, got)
+            want = _reference_paramodulate(state, a, b)
+            assert [(j, canonical_clause(c)) for c, j in got] \
+                == [(j, canonical_clause(c)) for c, j in want], (a, b)
+            pairs += 1
+            made += len(got)
+    assert pairs == 420 and made > 0
+
+
+def _prove_counting_given(files, max_given):
+    th = data_theory(*files)
+    calls = [0]
+
+    def should_stop():
+        calls[0] += 1
+        return False
+
+    return prove(th, ProverLimits(max_given=max_given), should_stop), calls[0]
+
+
+# given clauses to the proof, proof length and the ProverStats counters
+# (given, generated, kept, tautologies, duplicates, forward subsumed, back
+# simplified, demodulators, memo clears)
+_PINNED = {
+    "sl-pr1.gl": (0, 4, (0, 0, 3, 0, 0, 0, 0, 3, 0)),
+    "hp-plus-mono.gl": (66, 24, (66, 1309, 279, 609, 279, 144, 13, 93, 9)),
+    "hp-sum-lemma.gl": (60, 15, (60, 1267, 247, 525, 255, 196, 13, 71, 9)),
+}
+
+
+@pytest.mark.parametrize("files", [
+    ("semilattice.ax", "sl-pr1.gl"),
+    ("hoop.ax", "hoop-ge-def.ax", "hp-plus-mono.gl"),
+    ("hoop.ax", "hoop-ge-def.ax", "hp-sum-lemma.gl"),
+], ids=lambda files: files[-1])
+def test_search_is_pinned(files):
+    """The search these goals take at max_given=70, in deterministic
+    counts.  A change to the prover's heuristics (selection, ordering,
+    simplification, redundancy) may move them: it must then update these
+    values and say so in CHANGES.  A change that only makes the prover
+    faster must leave them as they are."""
+    out, given = _prove_counting_given(files, 70)
+    assert out.status == "proved"
+    stats = tuple(getattr(out.stats, name) for name in ProverStats.__slots__)
+    assert (given, len(out.proof.steps), stats) == _PINNED[files[-1]]
+    assert out.stats.given == given
+
+
+def test_every_outcome_carries_stats():
+    out, given = _prove_counting_given(
+        ("semilattice.ax", "sl-ge-def.ax", "sl-total.gl"), 30)
+    assert out.status == "limit" and out.which == "max_given"
+    assert out.stats.given == 30 == given - 1
+    assert out.stats.generated >= out.stats.kept > 0
+    assert str(out.stats).startswith("30 given, %d generated, "
+                                     % out.stats.generated)
+    th = parse_source("""
+formulas(assumptions).
+   f(x) = a.
+end_of_list.
+formulas(goals).
+   g(a) = b.
+end_of_list.
+""")
+    out = prove(th)
+    assert out.status == "exhausted" and out.stats.given > 0
+
+
+class _JumpingClock:
+    """time.monotonic for the prover: 0 for the first calls, then far
+    past any deadline."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def __call__(self):
+        self.calls -= 1
+        return 0.0 if self.calls >= 0 else 1e9
+
+
+@pytest.mark.parametrize("calls, phase", [(2, "generation"), (3, "adding")])
+def test_deadline_is_checked_inside_a_round(monkeypatch, calls, phase):
+    """One clock call sets the deadline and one comes before the first
+    given clause; the clock then jumps past the deadline at the check
+    between active partners, or at the one between generated clauses."""
+    th = with_goal(builtin_theory("hoop"),
+                   "(x + (y ~ x)) + (z ~ (x + (y ~ x))) = "
+                   "x + ((y + (z ~ y)) ~ x)")
+    monkeypatch.setattr(saturate.time, "monotonic", _JumpingClock(calls))
+    out = prove(th, ProverLimits(max_seconds=10))
+    assert out.status == "limit" and out.which == "max_seconds"
+    assert out.stats.given == 1
+    # generated is counted when the round's generation is complete
+    assert (out.stats.generated > 0) == (phase == "adding")
