@@ -45,14 +45,12 @@ Justification forms:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .terms import VAR, ac_normal, substitute, term_vars
-from .hoops import (DERIVED_DEFS, MINUS, PLUS, builtin_theory, data_text,
-                    parse_hoop_term)
-from .saturate import parse_proof, verify_proof
-from .syntax import Theory, parse_formula_text
+from .hoops import DERIVED_DEFS, MINUS, PLUS, builtin_theory, parse_hoop_term
+from .syntax import Theory, data_text, parse_formula_text
 
 ZERO = ("0",)
 ONE = ("1",)
@@ -425,12 +423,9 @@ def _fact_pairs(formula):
 # ---------------------------------------------------------------------------
 # lemma records and chain files
 
-@dataclass(frozen=True)
-class LemmaRecord:
-    name: str
-    statement_text: str
-    depends_on: tuple = ()
-    helper: bool = False
+class LemmaRecord(namedtuple("LemmaRecord", "name statement_text "
+                             "depends_on helper", defaults=((), False))):
+    __slots__ = ()
 
     @property
     def statement(self):
@@ -443,10 +438,7 @@ class LemmaRecord:
         return None if text is None else parse_chain(text)
 
 
-@dataclass(frozen=True)
-class Justification:
-    kind: str          # axiom, def, lemma, base, ac, mono, res, derive
-    refs: tuple = ()   # axiom number, operation name, or lemma names
+Justification = namedtuple("Justification", "kind refs", defaults=((),))
 
 
 def _parse_justification(text):
@@ -579,6 +571,7 @@ def proof_certificate(lemma, line):
 def _check_certificate(prev, cur, names, lemma, line):
     """Raise ChainError, naming the cause, unless the stored certificate
     proves prev = cur (expanded forms) from the lemmas names."""
+    from .saturate import parse_proof, verify_proof
     where = "derive link at line %d of %s" % (line, lemma)
     text = proof_certificate(lemma, line)
     if text is None:

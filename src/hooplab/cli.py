@@ -21,8 +21,7 @@ import functools
 import os
 import sys
 
-from . import chains, hoops, saturate, search, syntax
-from .model import ModelError, deserialize_model
+from . import syntax
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -40,7 +39,7 @@ class UsageError(Exception):
 def _read_input(path):
     """Read a file; unqualified names fall back to the bundled data dir."""
     if not os.path.exists(path) and os.sep not in path:
-        bundled = hoops.data_text(path)
+        bundled = syntax.data_text(path)
         if bundled is not None:
             return bundled
     try:
@@ -79,6 +78,7 @@ def cmd_parse(args, out):
 
 
 def cmd_enumerate(args, out):
+    from . import hoops, search
     if args.builtin:
         theory = hoops.builtin_theory(args.builtin)
     else:
@@ -106,6 +106,7 @@ def cmd_enumerate(args, out):
 
 def _run_prover(theory, args, out, proof_sink):
     """Prove each goal of theory separately; returns the exit code."""
+    from . import saturate
     if not theory.goals:
         raise UsageError("no goals to prove")
     limits = saturate.ProverLimits(max_seconds=args.max_seconds,
@@ -144,6 +145,7 @@ def cmd_prove(args, out):
 
 
 def cmd_verify(args, out):
+    from . import saturate
     theory = _load_theory(args.files)
     try:
         proof = saturate.parse_proof(_read_input(args.proof), theory)
@@ -159,6 +161,7 @@ def cmd_verify(args, out):
 
 
 def cmd_mine(args, out):
+    from . import saturate
     theory = _load_theory(args.files)
     try:
         proof = saturate.parse_proof(_read_input(args.proof), theory)
@@ -181,6 +184,7 @@ def _parse_spec(spec):
 
 
 def cmd_construct(args, out):
+    from . import hoops
     if args.ln:
         m = hoops.lukasiewicz(args.ln)
     elif args.osum:
@@ -200,6 +204,7 @@ def _lemmas_verify_chains(out):
     """One line per lemma, a rejection with its reason, then the count of
     verified named (non-basic) chains.  A lemma with no transcribed chain
     is reported, not failed."""
+    from . import chains
     named = verified = failed = 0
     for record in chains.lemma_corpus():
         if record.chain is None:
@@ -218,6 +223,7 @@ def _lemmas_verify_chains(out):
 
 
 def _lemmas_check_models(size, out):
+    from . import chains, hoops, search
     theory = hoops.builtin_theory("hoop")
     corpus = chains.lemma_corpus()
     bad = 0
@@ -239,6 +245,7 @@ def _lemmas_check_models(size, out):
 
 
 def _lemmas_prove(name, args, out):
+    from . import chains
     record = {r.name: r for r in chains.lemma_corpus()}.get(name)
     if record is None:
         raise UsageError("unknown lemma %r" % name)
@@ -253,6 +260,7 @@ def cmd_lemmas(args, out):
         return _lemmas_verify_chains(out)
     if args.check_models:
         return _lemmas_check_models(args.check_models, out)
+    from . import chains
     for record in chains.lemma_corpus():
         deps = (" [uses %s]" % ", ".join(record.depends_on)
                 if record.depends_on else "")
@@ -262,6 +270,7 @@ def cmd_lemmas(args, out):
 
 
 def cmd_check(args, out):
+    from .model import deserialize_model
     theory = _load_theory(args.files)
     lines = [ln for ln in _read_input(args.model).splitlines()
              if ln.strip() and not ln.lstrip().startswith("#")]
@@ -269,7 +278,7 @@ def cmd_check(args, out):
         raise UsageError("empty model file")
     try:
         m = deserialize_model(lines[0])
-    except (ModelError, ValueError) as e:
+    except ValueError as e:
         raise UsageError("unreadable model: %s" % e)
     bad = 0
     for label, formulas in (("assumption", theory.assumptions),
@@ -377,11 +386,7 @@ def main(argv=None, out=None):
         return EXIT_USAGE if e.code else EXIT_OK
     try:
         return _COMMANDS[args.command](args, out)
-    except UsageError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_USAGE
-    except (search.SearchError, saturate.ProverError, chains.ChainError,
-            syntax.TheoryError, ModelError, ValueError) as e:
+    except (UsageError, ValueError) as e:   # engine errors are ValueErrors
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
 

@@ -10,11 +10,10 @@ They are written down once, in data/hoop-ge-def.ax and data/hoop-defs.ax.
 from __future__ import annotations
 
 from functools import lru_cache
-from importlib import resources
 
 from .model import FiniteModel, ModelError
-from .syntax import (Theory, TheoryError, parse_source, parse_term_text,
-                     render_formula)
+from .syntax import (Theory, TheoryError, data_text, parse_source,
+                     parse_term_text, render_formula)
 from .terms import VAR
 
 PLUS = "+"
@@ -25,18 +24,6 @@ NOMENCLATURE = {
     "0": "Z", "1": "O", PLUS: "P", MINUS: "S",
     "cup": "J", "cap": "M", "\\": "D", "nand": "A", "neg": "N",
 }
-
-
-def data_text(*parts):
-    """Text of the bundled data file data/PART/..., or None when there is
-    none."""
-    path = resources.files(__package__) / "data"
-    for part in parts:
-        path = path / part
-    try:
-        return path.read_text()
-    except OSError:
-        return None
 
 
 def _parse_definitions(text):

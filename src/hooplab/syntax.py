@@ -20,7 +20,7 @@ from # to end of line.  Input is 7-bit ASCII.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from importlib import resources
 
 from .terms import (VAR, formula_atoms, formula_symbols, formula_vars,
                     subterms, term_symbols, term_vars, var)
@@ -46,12 +46,29 @@ class TheoryError(ValueError):
     """Conflicting declarations or symbol usage."""
 
 
-@dataclass
+def data_text(*parts):
+    """Text of the bundled file data/PART/..., or None when there is none."""
+    path = resources.files(__package__).joinpath("data", *parts)
+    try:
+        return path.read_text()
+    except OSError:
+        return None
+
+
 class Theory:
-    # (precedence, fixity, symbol); fixity is "infix" or "postfix"
-    op_decls: list = field(default_factory=list)
-    assumptions: list = field(default_factory=list)
-    goals: list = field(default_factory=list)
+    def __init__(self, op_decls=None, assumptions=None, goals=None):
+        # (precedence, fixity, symbol); fixity is "infix" or "postfix"
+        self.op_decls = [] if op_decls is None else op_decls
+        self.assumptions = [] if assumptions is None else assumptions
+        self.goals = [] if goals is None else goals
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return vars(self) == vars(other) if same else NotImplemented
+
+    def __repr__(self):
+        return "Theory(%s)" % ", ".join("%s=%r" % kv
+                                        for kv in vars(self).items())
 
     def declared(self, name):
         for prec, fixity, sym in self.op_decls:

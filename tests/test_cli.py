@@ -2,12 +2,15 @@
 
 import io
 import os
+import subprocess
+import sys
 
 import pytest
 
-from hooplab import cli
+from hooplab import chains, cli
 
 DATA = os.path.join(os.path.dirname(cli.__file__), "data")
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
 
 
 def run(*argv):
@@ -207,7 +210,7 @@ def test_lemmas_listing():
 
 def test_lemmas_verify_chains_reports_each_lemma_once(monkeypatch):
     # every transcribed chain is taken as verified
-    monkeypatch.setattr(cli.chains, "verify_chain_report",
+    monkeypatch.setattr(chains, "verify_chain_report",
                         lambda record, context=(): (True, "ok"))
     code, out = run("lemmas", "--verify-chains")
     lines = out.splitlines()
@@ -221,7 +224,7 @@ def test_lemmas_verify_chains_reports_each_lemma_once(monkeypatch):
 def test_lemmas_verify_chains_names_the_reason(monkeypatch):
     # with no stored certificates, the chains with a derive link are
     # rejected for the missing certificate of that link
-    monkeypatch.setattr(cli.chains, "proof_certificate",
+    monkeypatch.setattr(chains, "proof_certificate",
                         lambda lemma, line: None)
     code, out = run("lemmas", "--verify-chains")
     lines = out.splitlines()
@@ -241,9 +244,9 @@ def test_lemmas_prove_poses_helper_dependencies(monkeypatch):
     code, _ = run("lemmas", "--prove", "NNSSNN")
     assert code == 0
     theory, = posed
-    nnssnn = {r.name: r for r in cli.chains.lemma_corpus()}["NNSSNN"]
+    nnssnn = {r.name: r for r in chains.lemma_corpus()}["NNSSNN"]
     assert theory.goals == [nnssnn.statement]
-    helper = cli.chains.LemmaRecord("PNSSNNO", "x + (x' ~ (x ~ x'')) = 1")
+    helper = chains.LemmaRecord("PNSSNNO", "x + (x' ~ (x ~ x'')) = 1")
     assert helper.statement in theory.assumptions
 
 
@@ -252,3 +255,63 @@ def test_usage_errors():
     assert code == 3
     code, _ = run("frobnicate")
     assert code == 3
+
+
+# Run in a fresh interpreter: one command, then a line with its exit code
+# and the modules it imported that the interpreter had not loaded at start.
+_FOOTPRINT = """\
+import io, sys
+start = set(sys.modules)
+from hooplab import cli
+code = cli.main(sys.argv[1:], out=io.StringIO())
+print(code, *sorted(set(sys.modules) - start))
+"""
+
+_ONLY_PARSER = {"model", "search", "saturate", "hoops", "chains"}
+_NO_SEARCHER = {"search", "chains", "hoops", "model"}
+_NO_PROVER = {"saturate", "chains"}
+
+
+@pytest.fixture(scope="module")
+def footprint_dir(tmp_path_factory):
+    """A directory with the proof and the model file the commands read."""
+    d = tmp_path_factory.mktemp("footprint")
+    assert run("prove", "-f", "semilattice.ax", "sl-pr1.gl", "--proof-out",
+               str(d / "sl.proof"))[0] == 0
+    _, compact = run("construct", "--ln", "4", "--format", "compact")
+    (d / "l4.model").write_text(compact)
+    return d
+
+
+# (command, its exit code, engines it must not import)
+_FOOTPRINTS = [
+    ("parse -f hoop.ax", 0, _ONLY_PARSER),
+    ("prove -f semilattice.ax sl-pr1.gl", 0, _NO_SEARCHER),
+    ("prove -f hoop.ax hoop-defs.ax hp-cup-assoc.gl --max-given 5", 2,
+     _NO_SEARCHER),
+    ("verify --proof sl.proof -f semilattice.ax sl-pr1.gl", 0, _NO_SEARCHER),
+    ("mine --proof sl.proof -f semilattice.ax sl-pr1.gl", 0, _NO_SEARCHER),
+    ("enumerate --builtin hoop --size 4 --iso", 0, _NO_PROVER),
+    ("construct --osum 2,3 --derived", 0, _NO_PROVER),
+    ("check --model l4.model -f hoop.ax", 0, _NO_PROVER),
+    ("lemmas", 0, {"saturate"}),
+    ("lemmas --check-models 3", 0, {"saturate"}),
+    ("lemmas --verify-chains", 1, set()),
+]
+
+
+@pytest.mark.parametrize("argv, want_code, barred", _FOOTPRINTS,
+                         ids=[case[0] for case in _FOOTPRINTS])
+def test_command_imports_only_its_engines(footprint_dir, argv, want_code,
+                                          barred):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", _FOOTPRINT, *argv.split()],
+                         cwd=footprint_dir, env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    code, *loaded = res.stdout.split()
+    assert int(code) == want_code
+    engines = {m.split(".")[1] for m in loaded if m.startswith("hooplab.")}
+    assert "cli" in engines and not engines & barred
+    assert "dataclasses" not in loaded

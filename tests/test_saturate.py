@@ -110,6 +110,18 @@ def _op_mutants(op, earlier):
             yield cat, op[:1] + new, op[1] if op[0] == "para" else None
 
 
+def _clause_mutants(clause):
+    """The clause with one non-variable subterm replaced by 0, for each
+    position of such a subterm that is not already 0."""
+    zero = ("0",)
+    for li, (pol, atom) in enumerate(clause):
+        for path in positions(atom):
+            sub = subterm_at(atom, path)
+            if path and sub[0] != VAR and sub != zero:
+                yield (clause[:li] + ((pol, replace_at(atom, path, zero)),)
+                       + clause[li + 1:])
+
+
 def _flip_symmetric(clause):
     """Whether a unit equation s = t is a variant of t = s."""
     (pol, (_, s, t)), = clause
@@ -122,7 +134,8 @@ def test_verify_rejects_mutations():
     index and path entry raised by one, and every side swapped is rejected
     with a step report.  The one exception is a side swap on an equation
     whose sides are variants (x + y = y + x): both directions give the
-    same rewrite."""
+    same rewrite.  A derived step whose stated clause has one subterm
+    replaced by 0 is rejected at that step, too."""
     tried = {}
     for files in (("semilattice.ax", "sl-pr1.gl"),
                   ("semilattice.ax", "sl-ge-def.ax", "sl-trans.gl"),
@@ -149,8 +162,18 @@ def test_verify_rejects_mutations():
                             by_id[eq].clause), (files[-1], step.id, new)
                     else:
                         assert report.startswith("step %d" % step.id)
+            if step.justification[0][0] in ("goal", "assumption", "deny"):
+                continue
+            for clause in _clause_mutants(step.clause):
+                broken = Proof(steps[:si] + [ProofStep(
+                    step.id, clause, step.justification, step.formula)]
+                    + steps[si + 1:])
+                ok, report = verify_proof(th, broken)
+                tried["clause", ok] = tried.get(("clause", ok), 0) + 1
+                assert not ok and report.startswith("step %d: " % step.id), \
+                    (files[-1], step.id, clause)
     assert {cat for cat, ok in tried if not ok} \
-        == {"id", "lit", "path", "side"}
+        == {"id", "lit", "path", "side", "clause"}
 
 
 def test_verify_rejects_malformed_proof_objects():
