@@ -138,7 +138,7 @@ def cmd_prove(args, out):
     theory = _load_theory(args.files)
     proofs = []
     code = _run_prover(theory, args, out, proofs)
-    if args.proof_out:
+    if args.proof_out and proofs:
         with open(args.proof_out, "w") as fh:
             fh.write("".join(proofs))
     return code

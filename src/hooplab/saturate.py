@@ -15,11 +15,11 @@ equation whose two readings are variants of each other (x + y = y + x) is
 indexed by its first reading only: the second rewrites exactly as the first
 does, and the first is always tried first.  One test (_State._root_step)
 decides whether a demodulator rewrites a term at its root; forward
-demodulation, the revalidation of memoized normal forms and
-back-simplification, in which a new demodulator simplifies again every
-live clause it rewrites, all use it.  Forward demodulation takes the
-pattern's variable bindings from the discrimination tree that found it,
-so it never matches the pattern a second time.
+demodulation and back-simplification, in which a new demodulator
+simplifies again every live clause it rewrites, both use it.  Forward
+demodulation takes the pattern's variable bindings from the discrimination
+tree that found it, so it never matches the pattern a second time.
+Normal forms are memoized while the set of demodulators stays the same.
 
 Paramodulation works from per-clause sites: each active clause keeps its
 readings as an equation and the subterms it can be paramodulated into
@@ -117,12 +117,10 @@ class ProverStats:
     inference rules generated; clauses kept (made live, input clauses
     included); simplified clauses deleted as tautologies (AC ones
     included), as duplicates of a live clause, or as forward-subsumed;
-    live clauses back-simplified; clauses made demodulators; and clears
-    of the normal-form memo."""
+    live clauses back-simplified; and clauses made demodulators."""
 
     __slots__ = ("given", "generated", "kept", "tautologies", "duplicates",
-                 "forward_subsumed", "back_simplified", "demodulators",
-                 "memo_clears")
+                 "forward_subsumed", "back_simplified", "demodulators")
 
     def __init__(self):
         for name in self.__slots__:
@@ -561,13 +559,15 @@ class _State:
         self._by_age = []       # heap of ids; may hold stale ids
         self.keys = {}          # canonical clause -> its live id
         # demodulator entries (seq, id, lhs, rhs, side, ordered, lhs
-        # variables by first occurrence): every one ever made (seq =
-        # index), the live ones by lhs, and by live id
-        self._demod_log = []
+        # variables by first occurrence): how many were ever made (the
+        # next seq), the live ones by lhs, and by live id
+        self._demod_seq = 0
         self.demod_ix = _DiscTree()
         self._demod_vals = {}
-        self._root_memo = {}    # term -> (_rewrite_once result, log length)
-        self._norm_memo = {}    # term -> (normal form, entries, log length)
+        self._root_memo = {}    # term -> (_rewrite_once result, _demod_seq)
+        # term -> (normal form, entries) under the current demodulators;
+        # cleared whenever one is added or retired
+        self._norm_memo = {}
         # live id -> (readings, into-sites by head symbol, all into-sites)
         self._sites = {}
         self.sub_ix = _InstanceIndex()  # subterms of the live clauses
@@ -638,20 +638,12 @@ class _State:
     def _normalize(self, t):
         """Innermost normal form of t under the current demodulators,
         with the rewrite entries (demod id, 0-based path, side) in
-        application order.  Memoized; a memo entry older than the newest
-        demodulators stays valid if none of them rewrites its normal
-        form."""
+        application order.  Memoized until the demodulators change."""
         if t[0] == VAR:
             return t, ()
-        version = len(self._demod_log)
         got = self._norm_memo.get(t)
         if got is not None:
-            nf, old_entries, ver = got
-            if ver == version:
-                return nf, old_entries
-            if not self._rewritten_by(self._demod_log[ver:], nf):
-                self._norm_memo[t] = (nf, old_entries, version)
-                return nf, old_entries
+            return got
         entries = []
         cur = t
         while cur[0] != VAR:
@@ -668,16 +660,8 @@ class _State:
             entries.append((did, (), side))
             cur = repl
         entries = tuple(entries)
-        self._norm_memo[t] = (cur, entries, version)
+        self._norm_memo[t] = (cur, entries)
         return cur, entries
-
-    def _rewritten_by(self, entries, t):
-        """True when one of the live demodulator entries rewrites somewhere
-        inside t."""
-        return any(val[1] in self._demod_vals
-                   and self._root_step(sub, val) is not None
-                   for sub in subterms(t) if sub[0] != VAR
-                   for val in entries)
 
     def _rewrite_once(self, sub):
         """The first demodulator entry, in insertion order, that rewrites
@@ -688,7 +672,7 @@ class _State:
         if got is not None:
             hit, seen = got
             if (hit[0] in self._demod_vals if hit is not None
-                    else seen == len(self._demod_log)):
+                    else seen == self._demod_seq):
                 return hit
         hit = None
         # seq orders the entries, so the bindings are never compared
@@ -696,7 +680,7 @@ class _State:
             hit = self._root_step(sub, val, dict(zip(val[6], binds)))
             if hit is not None:
                 break
-        self._root_memo[sub] = (hit, len(self._demod_log))
+        self._root_memo[sub] = (hit, self._demod_seq)
         return hit
 
     def _root_step(self, sub, val, binding=None):
@@ -818,14 +802,15 @@ class _State:
                 ((True, ("=", eqs[1][1], eqs[1][2])),)):
             eqs = eqs[:1]
         self.stats.demodulators += 1
-        seq = len(self._demod_log)
+        seq = self._demod_seq
         self._demod_vals[sid] = vals = [
             (seq + i, sid, lhs, rhs, side, ordered,
              tuple(canonical_renaming([lhs])))
             for i, (side, lhs, rhs) in enumerate(eqs)]
         for val in vals:
             self.demod_ix.insert(val[2], val)
-        self._demod_log.extend(vals)
+        self._demod_seq += len(vals)
+        self._norm_memo.clear()
         self._back_simplify(vals)
 
     def _back_simplify(self, vals):
@@ -862,9 +847,7 @@ class _State:
         if vals:
             for val in vals:
                 self.demod_ix.remove(val[2], val)
-            # normal forms are recomputed from the remaining demodulators
             self._norm_memo.clear()
-            self.stats.memo_clears += 1
 
     # -- inference rules
 
@@ -1387,7 +1370,8 @@ _CALL_RE = re.compile(r"(\w+)(?:\((.*)\))?", re.S)
 
 
 def parse_proof(text: str, theory) -> Proof:
-    """Inverse of render_proof.  Lines starting with '#' are ignored."""
+    """Inverse of render_proof.  Lines starting with '#' are ignored; a
+    text without a step line raises ProverError."""
     from .syntax import parse_formula_text
     steps = []
     for raw in text.splitlines():
@@ -1406,4 +1390,6 @@ def parse_proof(text: str, theory) -> Proof:
         else:
             steps.append(ProofStep(step_id, _parse_clause_text(body, theory),
                                    ops))
+    if not steps:
+        raise ProverError("no proof steps")
     return Proof(steps)

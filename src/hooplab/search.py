@@ -15,9 +15,11 @@ cell its evaluation is blocked on, the value unit propagation forces into a
 cell, or that it is down to one unknown cell and forces nothing.  Each
 instance watches the cell it is blocked on and is re-checked when that cell
 gets a value; conflicts prune the branch and forced values are assigned at
-once.  Every cell also keeps a domain, a bitmask of the values not yet ruled
-out: an instance down to one unknown cell is tried with each value left in
-it, and the values under which it fails are removed (negative propagation).
+once.  An instance found satisfied is looked at again only once that cell
+has been unassigned, so satisfied verdicts need no cache.  Every cell also
+keeps a domain, a bitmask of the values not yet ruled out: an instance down
+to one unknown cell is tried with each value left in it, and the values
+under which it fails are removed (negative propagation).
 An emptied domain is a conflict, a domain left with one value forces it, and
 a forced value outside the domain is a conflict.  Assignments, watches and
 domains are logged per decision level and undone on backtrack.
@@ -265,8 +267,6 @@ class _Searcher:
         # dom[cell]: bitmask of the values not yet ruled out for the cell
         self.dom = [3 if rel else full for rel in self.is_rel_cell]
         watch = [[] for _ in range(self.cell_count)]
-        self.era = [0] * self.cell_count
-        self.sat_token = [None] * len(self.checkers)
         mult, unforced = self.force_mult, self.unforced
         stats = self.stats
 
@@ -303,14 +303,11 @@ class _Searcher:
         # wlog[pos] = watch-list additions, dtrail[pos] = (cell, old domain)
         # for every domain narrowed; all undone LIFO on backtrack.
         # vmax[pos]: largest element value assigned up to and including pos.
-        # era[cell] ticks whenever that cell's assignment changes; a cached
-        # "satisfied at (cell, era)" verdict stays valid while era holds.
         trail = [[] for _ in range(self.cell_count)]
         wlog = [[] for _ in range(self.cell_count)]
         dtrail = [[] for _ in range(self.cell_count)]
         vmax = [-1] * self.cell_count
         order = self.order
-        era = self.era
         dom = self.dom
         stack = []
 
@@ -336,7 +333,6 @@ class _Searcher:
             wlog[pos].clear()
             for c in reversed(trail[pos]):
                 vals[c] = None
-                era[c] += 1
             trail[pos].clear()
             for c, d in reversed(dtrail[pos]):
                 dom[c] = d
@@ -391,8 +387,6 @@ class _Searcher:
         vmax) where vmax is the largest element assigned to a function cell
         here; all changes are logged for backtracking."""
         checkers = self.checkers
-        era = self.era
-        tokens = self.sat_token
         mult, unforced = self.force_mult, self.unforced
         is_rel = self.is_rel_cell
         dom = self.dom
@@ -406,21 +400,15 @@ class _Searcher:
             if not dom[c0] >> v0 & 1:
                 return False, new_vmax
             vals[c0] = v0
-            era[c0] += 1
             trail.append(c0)
             if not is_rel[c0] and v0 > new_vmax:
                 new_vmax = v0
-            here = era[c0]
             for idx in watch[c0]:
-                tok = tokens[idx]
-                if tok is not None and era[tok[0]] == tok[1]:
-                    continue
                 chk = checkers[idx]
                 res = chk(vals)
                 if res == -1:
                     return False, new_vmax
                 if res == -2:
-                    tokens[idx] = (c0, here)
                     continue
                 if res >= 0:
                     watch[res].append(idx)

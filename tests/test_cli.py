@@ -57,7 +57,7 @@ def test_prove_limit_prints_stats():
     assert (verdict, goal) == ("LIMIT REACHED (max_given)",
                                "# goal: x >= y | y >= x")
     assert stats.startswith("# stats: 20 given, ")
-    assert stats.endswith(" memo clears")
+    assert stats.endswith(" demodulators")
 
 
 def test_prove_missing_file_usage_error():
@@ -133,10 +133,21 @@ def test_verify_rejects_tampering(tmp_path):
 
 def test_verify_malformed_proof_is_unreadable(tmp_path):
     proof = tmp_path / "p.txt"
-    proof.write_text("1 $F.  [resolve(4,0)].\n")
-    code, out = run("verify", "--proof", str(proof),
-                    "-f", data("semilattice.ax"), data("sl-pr1.gl"))
-    assert code == 3
+    for text in ("1 $F.  [resolve(4,0)].\n", "", "# no steps\n\n"):
+        proof.write_text(text)
+        for command in ("verify", "mine"):
+            code, out = run(command, "--proof", str(proof),
+                            "-f", data("semilattice.ax"), data("sl-pr1.gl"))
+            assert code == 3, (command, text)
+
+
+def test_proof_out_written_only_for_a_proof(tmp_path):
+    proof = tmp_path / "p.txt"
+    code, _ = run("prove", "-f", data("hoop.ax"), data("hoop-defs.ax"),
+                  data("hp-cup-assoc.gl"), "--max-given", "1",
+                  "--proof-out", str(proof))
+    assert code == 2
+    assert not proof.exists()
 
 
 def test_mine(tmp_path):

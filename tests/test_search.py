@@ -7,8 +7,8 @@ import pytest
 from hooplab.hoops import builtin_theory, derived_tables, is_hoop, lukasiewicz
 from hooplab.model import isomorphic
 from hooplab.search import (
-    SearchError, SearchLimit, SearchOptions, count_models, enumerate_models,
-    isofilter,
+    SearchError, SearchLimit, SearchOptions, _Searcher, count_models,
+    enumerate_models, isofilter,
 )
 from hooplab.syntax import parse_formula_text, parse_source
 
@@ -116,6 +116,26 @@ def test_hoops_of_size_6():
     # the linear ones are the 2^(6-2) classes of hoop_linear
     linear = parse_formula_text("x ~ y = 0 | y ~ x = 0", HOOP)
     assert sum(m.satisfies(linear) for m in models) == 16
+
+
+@pytest.mark.parametrize("name,size,upto_iso,pinned", [
+    ("hoop", 5, True, (9912, 7145, 21125, 216)),
+    ("semilattice", 5, True, (2183, 487, 11641, 1065)),
+    ("pocrim", 4, True, (640, 403, 368, 39)),
+    ("hoop", 4, False, (2252, 1443, 2996, 108)),
+])
+def test_search_is_pinned(name, size, upto_iso, pinned):
+    """The search these theories take, in SearchStats counts (decisions,
+    conflicts, eliminated, leaves).  A change to the cell order, the
+    propagation or the symmetry breaking may move them: it must then
+    update these values and say so in CHANGES.  A change that only makes
+    the searcher faster must leave them as they are."""
+    searcher = _Searcher(builtin_theory(name),
+                         SearchOptions(size, upto_iso=upto_iso))
+    for _ in searcher.run():
+        pass
+    stats = searcher.stats
+    assert tuple(getattr(stats, f) for f in stats.__slots__) == pinned
 
 
 def test_determinism():
