@@ -4,17 +4,24 @@ Elements are 0..n-1.  Function tables are nested tuples indexed by argument
 (unary: tuple of ints, binary: tuple of row tuples); relation tables hold
 bools.  Models are immutable after construction.
 
-Isomorphism has one key, FiniteModel.canonical_labeling.  The constants
-take labels 0..k-1 in declaration order; colour refinement splits the other
-elements into ordered classes by their rows and columns in every table, and
-each class takes the next block of labels.  The key is the least encode()
-over the relabelings that keep to those blocks, so it costs the product of
-the class sizes' factorials, not n!.
+Terms and formulas have one evaluator: _term_fn and _formula_fn turn one
+into nested closures over a tuple environment, with the tables bound when
+they are built, and satisfies, counterexample_env, extend and the public
+eval_term, eval_atom and holds all run those closures.
+
+Isomorphism has one key, canonical_key, on flat tables; the searcher calls
+it on its cells and FiniteModel.canonical_labeling on a model's tables.
+The constants take labels 0..k-1 in declaration order; colour refinement
+splits the other elements into ordered classes by their rows and columns in
+every table, and each class takes the next block of labels.  The key is
+the least encoding over the relabelings that keep to those blocks, so it
+costs the product of the class sizes' factorials, not n!.
 """
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import filterfalse, permutations, product
+from operator import itemgetter
 
 from .terms import VAR, formula_vars
 
@@ -66,64 +73,30 @@ class FiniteModel:
     # ---- evaluation
 
     def eval_term(self, env, t):
-        if t[0] == VAR:
-            return env[t[1]]
-        name = t[0]
-        args = tuple(self.eval_term(env, a) for a in t[1:])
-        if not args:
-            if name in self.constants:
-                return self.constants[name]
-            if name.isdigit() and int(name) < self.size and name not in self.fun_tables:
-                # numerals name elements directly when not interpreted
-                return int(name)
-            raise ModelError("uninterpreted constant %r" % name)
-        table = self.fun_tables.get(name)
-        if table is None:
-            raise ModelError("uninterpreted function %r" % name)
-        for a in args:
-            table = table[a]
-        return table
+        return _term_fn(self, t, _positions(env))(tuple(env.values()))
 
     def eval_atom(self, env, atom):
-        if atom[0] == "=":
-            return self.eval_term(env, atom[1]) == self.eval_term(env, atom[2])
-        table = self.rel_tables.get(atom[0])
-        if table is None:
-            raise ModelError("uninterpreted relation %r" % atom[0])
-        for t in atom[1:]:
-            table = table[self.eval_term(env, t)]
-        return bool(table)
+        return _formula_fn(self, ("atom", atom), _positions(env))(
+            tuple(env.values()))
 
     def holds(self, env, f):
-        tag = f[0]
-        if tag == "atom":
-            return self.eval_atom(env, f[1])
-        if tag == "not":
-            return not self.holds(env, f[1])
-        a = self.holds(env, f[1])
-        if tag == "and":
-            return a and self.holds(env, f[2])
-        if tag == "or":
-            return a or self.holds(env, f[2])
-        if tag == "imp":
-            return (not a) or self.holds(env, f[2])
-        if tag == "iff":
-            return a == self.holds(env, f[2])
-        raise ValueError("unknown formula tag %r" % tag)
-
-    def environments(self, f):
-        names = sorted(formula_vars(f))
-        for values in product(range(self.size), repeat=len(names)):
-            yield dict(zip(names, values))
+        return _formula_fn(self, f, _positions(env))(tuple(env.values()))
 
     def satisfies(self, f):
-        return all(self.holds(env, f) for env in self.environments(f))
+        return next(self._falsifying(f)[1], None) is None
 
     def counterexample_env(self, f):
-        for env in self.environments(f):
-            if not self.holds(env, f):
-                return env
-        return None
+        names, bad = self._falsifying(f)
+        env = next(bad, None)
+        return None if env is None else dict(zip(names, env))
+
+    def _falsifying(self, f):
+        """The variables of f in name order, and an iterator over the
+        value tuples for them, in product order, under which f fails."""
+        names = sorted(formula_vars(f))
+        test = _formula_fn(self, f, _positions(names))
+        return names, filterfalse(
+            test, product(range(self.size), repeat=len(names)))
 
     def extend(self, defs):
         """This model with a table appended for each definition of defs,
@@ -132,12 +105,13 @@ class FiniteModel:
         n = self.size
         m = FiniteModel(n, self.constants, self.fun_tables, self.rel_tables)
         for name, (kind, params, body) in defs.items():
-            envs = [dict(zip(params, args))
-                    for args in product(range(n), repeat=len(params))]
-            tables, value = ((m.fun_tables, m.eval_term) if kind == "function"
-                             else (m.rel_tables, m.holds))
-            tables[name] = unflatten([value(env, body) for env in envs],
-                                     len(params), n)
+            tables, compile_fn = ((m.fun_tables, _term_fn)
+                                  if kind == "function"
+                                  else (m.rel_tables, _formula_fn))
+            value = compile_fn(m, body, _positions(params))
+            tables[name] = unflatten(
+                list(map(value, product(range(n), repeat=len(params)))),
+                len(params), n)
         return m
 
     # ---- isomorphism
@@ -171,54 +145,12 @@ class FiniteModel:
 
     def canonical_labeling(self):
         """(key, perm): the canonical encoding of the model and a relabeling
-        perm with self.permuted(perm).encode() == key.
-
-        The carrier is split into ordered classes by colour refinement
-        (_refined_classes): constants first, in declaration order, then the
-        unnamed elements split by their rows and columns in every table.
-        The i-th class takes the next consecutive block of labels, and the
-        key is the least encode() over the relabelings that do so, that is
-        over the products of permutations inside each class.  The classes
-        and their order depend only on the isomorphism class, so isomorphic
-        models get equal keys; encode() determines the model, so others get
-        different keys.  The element named by the i-th distinct constant
-        gets label i.
-        """
-        n = self.size
-        const_vals = list(self.constants.values())
-        funs = [(_flat(t), _arity(t)) for t in self.fun_tables.values()]
-        rels = [([int(v) for v in _flat(t)], _arity(t))
-                for t in self.rel_tables.values()]
-        arities = {a for _, a in funs + rels}
-        best = None
-        best_perm = None
-        perm = [0] * n
-        inv = [0] * n
-        for blocks in product(*(permutations(c) for c in
-                                _refined_classes(n, const_vals, funs, rels))):
-            label = 0
-            for block in blocks:
-                for e in block:
-                    perm[e] = label
-                    inv[label] = e
-                    label += 1
-            # cells[a]: the old flat index of each new cell of an a-ary
-            # table, in row-major order of the new labels
-            cells = {}
-            for a in arities:
-                idx = [0]
-                for _ in range(a):
-                    idx = [j * n + i for j in idx for i in inv]
-                cells[a] = idx
-            enc = [perm[v] for v in const_vals]
-            for flat, a in funs:
-                enc.extend([perm[flat[j]] for j in cells[a]])
-            for flat, a in rels:
-                enc.extend([flat[j] for j in cells[a]])
-            enc = tuple(enc)
-            if best is None or enc < best:
-                best, best_perm = enc, tuple(perm)
-        return best, best_perm
+        perm with self.permuted(perm).encode() == key; see canonical_key."""
+        return canonical_key(
+            self.size, list(self.constants.values()),
+            [(_flat(t), _arity(t)) for t in self.fun_tables.values()],
+            [([int(v) for v in _flat(t)], _arity(t))
+             for t in self.rel_tables.values()])
 
     def __eq__(self, other):
         return (isinstance(other, FiniteModel) and self.size == other.size
@@ -230,6 +162,56 @@ class FiniteModel:
 
     def __repr__(self):
         return "FiniteModel(%s)" % serialize_model(self)
+
+
+def canonical_key(n, const_vals, funs, rels):
+    """(key, perm) for the model of size n with the given constant values
+    (declaration order) and flat row-major (table, arity) function and
+    relation tables (relation entries 0 or 1): key is the canonical
+    encoding, and perm a relabeling i -> perm[i] under which the model's
+    encode() is key.
+
+    The carrier is split into ordered classes by colour refinement
+    (_refined_classes): constants first, in declaration order, then the
+    unnamed elements split by their rows and columns in every table.
+    The i-th class takes the next consecutive block of labels, and the
+    key is the least encoding over the relabelings that do so, that is
+    over the products of permutations inside each class.  The classes
+    and their order depend only on the isomorphism class, so isomorphic
+    models get equal keys; the encoding determines the model, so others
+    get different keys.  The element named by the i-th distinct constant
+    gets label i.
+    """
+    arities = {a for _, a in funs} | {a for _, a in rels}
+    best = None
+    best_perm = None
+    perm = [0] * n
+    inv = [0] * n
+    for blocks in product(*(permutations(c) for c in
+                            _refined_classes(n, const_vals, funs, rels))):
+        label = 0
+        for block in blocks:
+            for e in block:
+                perm[e] = label
+                inv[label] = e
+                label += 1
+        # cells[a]: the old flat index of each new cell of an a-ary
+        # table, in row-major order of the new labels
+        cells = {}
+        for a in arities:
+            idx = [0]
+            for _ in range(a):
+                idx = [j * n + i for j in idx for i in inv]
+            cells[a] = idx
+        enc = [perm[v] for v in const_vals]
+        for flat, a in funs:
+            enc.extend([perm[flat[j]] for j in cells[a]])
+        for flat, a in rels:
+            enc.extend([flat[j] for j in cells[a]])
+        enc = tuple(enc)
+        if best is None or enc < best:
+            best, best_perm = enc, tuple(perm)
+    return best, best_perm
 
 
 def _refined_classes(n, const_vals, funs, rels):
@@ -344,6 +326,97 @@ def _map_table(t, inv, out_map, arity, n):
             return get(prefix)
         return tuple(build(prefix + (i,), depth + 1) for i in range(n))
     return build((), 0)
+
+
+def _positions(names):
+    """Variable name -> its position in a tuple environment."""
+    return {v: i for i, v in enumerate(names)}
+
+
+def _term_fn(m, t, pos):
+    """The term t in m as a function of a tuple environment, which holds
+    variable v at position pos[v].  Tables are looked up here, once; an
+    uninterpreted symbol raises ModelError only when its node is
+    evaluated, after its arguments."""
+    if t[0] == VAR:
+        return itemgetter(pos[t[1]])
+    name, args = t[0], t[1:]
+    if not args:
+        if name in m.constants:
+            v = m.constants[name]
+        elif name.isdigit() and int(name) < m.size \
+                and name not in m.fun_tables:
+            # numerals name elements directly when not interpreted
+            v = int(name)
+        else:
+            return _raising("uninterpreted constant %r" % name, ())
+        return lambda e: v
+    fns = [_term_fn(m, a, pos) for a in args]
+    table = m.fun_tables.get(name)
+    if table is None:
+        return _raising("uninterpreted function %r" % name, fns)
+    if len(args) == 2:
+        x, y = args
+        if x[0] == VAR and y[0] == VAR:
+            i, j = pos[x[1]], pos[y[1]]
+            return lambda e: table[e[i]][e[j]]
+        f, g = fns
+        return lambda e: table[f(e)][g(e)]
+    if len(args) == 1:
+        f, = fns
+        return lambda e: table[f(e)]
+
+    def apply(e):
+        v = table
+        for f in fns:
+            v = v[f(e)]
+        return v
+    return apply
+
+
+def _formula_fn(m, f, pos):
+    """The formula f in m as a bool-valued function of a tuple
+    environment, as _term_fn; connectives short-circuit, so a symbol in
+    an operand that is never evaluated needs no interpretation."""
+    tag = f[0]
+    if tag == "atom":
+        atom = f[1]
+        if atom[0] == "=":
+            lhs, rhs = (_term_fn(m, t, pos) for t in atom[1:])
+            return lambda e: lhs(e) == rhs(e)
+        table = m.rel_tables.get(atom[0])
+        if table is None:
+            return _raising("uninterpreted relation %r" % atom[0], ())
+        fns = [_term_fn(m, t, pos) for t in atom[1:]]
+
+        def rel(e):
+            v = table
+            for g in fns:
+                v = v[g(e)]
+            return bool(v)
+        return rel
+    if tag == "not":
+        a = _formula_fn(m, f[1], pos)
+        return lambda e: not a(e)
+    if tag not in ("and", "or", "imp", "iff"):
+        raise ValueError("unknown formula tag %r" % tag)
+    a, b = (_formula_fn(m, g, pos) for g in f[1:])
+    if tag == "and":
+        return lambda e: a(e) and b(e)
+    if tag == "or":
+        return lambda e: a(e) or b(e)
+    if tag == "imp":
+        return lambda e: not a(e) or b(e)
+    return lambda e: a(e) == b(e)
+
+
+def _raising(message, fns):
+    """A node that evaluates fns, then raises ModelError(message)."""
+    def node(e):
+        for g in fns:
+            g(e)
+        raise ModelError(message)
+    return node
 
 
 def isomorphic(m1: FiniteModel, m2: FiniteModel):

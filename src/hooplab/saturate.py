@@ -702,7 +702,10 @@ class _State:
     # -- adding derived clauses
 
     def add(self, clause, justification):
-        return self.keep(*self.simplify(clause, justification))
+        # canonical variable names from the start, so that the memo and
+        # index keys of simplification carry no rename_apart salt
+        return self.keep(*self.simplify(canonical_clause(clause),
+                                        justification))
 
     def simplify(self, clause, justification):
         """The clause's normal form under the demodulators with its trivial

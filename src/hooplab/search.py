@@ -37,7 +37,12 @@ least one goal.  Functions and relations that an assumption defines (see
 Theory.definitions: f(x, ...) = term like cup, R(x, ...) <-> formula like
 >=) are not searched: FiniteModel.extend computes their tables at the
 leaves, where the goals and every other assumption that mentions a defined
-symbol are checked.
+symbol are checked (the leaf check).
+
+Up to isomorphism, each leaf is keyed by model.canonical_key straight from
+the searched tables' cells, and copies of a key already seen are dropped;
+so extend and the leaf check run once per isomorphism class, not once per
+leaf.  The labelled search builds and checks every leaf.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ import time
 from functools import partial
 from itertools import product
 
-from .model import FiniteModel, unflatten
+from .model import FiniteModel, canonical_key, unflatten
 from .terms import VAR, clausify, formula_symbols, term_vars
 
 
@@ -56,13 +61,17 @@ class SearchError(ValueError):
 
 class SearchStats:
     """How far a search got: values tried at decision points, those that
-    failed in propagation, values removed from cell domains, and complete
-    assignments reached (before the leaf check)."""
+    failed in propagation, values removed from cell domains, complete
+    assignments reached (leaves), leaves dropped as isomorphic copies of
+    an earlier leaf (duplicates, only up to isomorphism), and leaves that
+    failed the leaf check (rejected)."""
 
-    __slots__ = ("decisions", "conflicts", "eliminated", "leaves")
+    __slots__ = ("decisions", "conflicts", "eliminated", "leaves",
+                 "duplicates", "rejected")
 
     def __init__(self):
         self.decisions = self.conflicts = self.eliminated = self.leaves = 0
+        self.duplicates = self.rejected = 0
 
 
 class SearchLimit(Exception):
@@ -260,8 +269,32 @@ class _Searcher:
 
     # ---- search
 
+    def models(self):
+        """The leaves that pass the leaf check, as models in search order;
+        with upto_iso, the canonical form of the first leaf of each
+        isomorphism class.  The defined tables are computed from the
+        searched ones, so keys of the searched tables alone split the
+        leaves into the same classes, and the leaf check passes or fails
+        for a whole class at once."""
+        stats = self.stats
+        upto_iso = self.opts.upto_iso
+        seen = set()
+        for vals in self.run():
+            if upto_iso:
+                key = self._key(vals)
+                if key in seen:
+                    stats.duplicates += 1
+                    continue
+                seen.add(key)
+            m = self._leaf_model(vals)
+            if m is None:
+                stats.rejected += 1
+            else:
+                yield m.canonical_form() if upto_iso else m
+
     def run(self):
-        """Every leaf model in search order, isomorphic copies included."""
+        """The cells at every leaf in search order, isomorphic copies
+        included: one list, changed in place once the search resumes."""
         vals = [None] * self.cell_count
         full = (1 << self.n) - 1
         # dom[cell]: bitmask of the values not yet ruled out for the cell
@@ -354,9 +387,7 @@ class _Searcher:
                     continue
             if pos + 1 == self.cell_count:
                 stats.leaves += 1
-                m = self._leaf_model(vals)
-                if m is not None:
-                    yield m
+                yield vals
             else:
                 push(pos + 1)
         # loop leaves root-forced vals set; harmless, search is over
@@ -445,15 +476,32 @@ class _Searcher:
                     return False, new_vmax
         return True, new_vmax
 
-    def _leaf_model(self, vals):
+    def _key(self, vals):
+        """The canonical key of _searched_model(vals), read from the
+        cells."""
+        n, base = self.n, self.base
+        return canonical_key(
+            n, [vals[base[s]] for s, a in self.fun_syms if a == 0],
+            [(vals[base[s]:base[s] + n ** a], a) for s, a in self.fun_syms
+             if a],
+            [(vals[base[s]:base[s] + n ** a], a) for s, a in self.rel_syms])[0]
+
+    def _searched_model(self, vals):
+        """The model of the searched tables' cells, without the defined
+        tables."""
         n = self.n
         flat = {s: vals[self.base[s]:self.base[s] + n ** a]
                 for s, a in self.fun_syms + self.rel_syms}
-        m = FiniteModel(
+        return FiniteModel(
             n, {s: flat[s][0] for s, a in self.fun_syms if a == 0},
             {s: unflatten(flat[s], a, n) for s, a in self.fun_syms if a},
             {s: unflatten([bool(v) for v in flat[s]], a, n)
-             for s, a in self.rel_syms}).extend(self.defs)
+             for s, a in self.rel_syms})
+
+    def _leaf_model(self, vals):
+        """The model of the cells with its defined tables, or None when it
+        fails the leaf formulas or satisfies every goal."""
+        m = self._searched_model(vals).extend(self.defs)
         if not all(m.satisfies(f) for f in self.leaf_formulas):
             return None
         if self.theory.goals and all(m.satisfies(g)
@@ -471,23 +519,10 @@ def enumerate_models(theory, opts: SearchOptions):
     SearchLimit when max_models or max_seconds cuts the search short.
     """
     searcher = _Searcher(theory, opts)
-    models = searcher.run()
-    if opts.upto_iso:
-        models = (m.permuted(perm) for m, perm in _first_of_class(models))
+    models = searcher.models()
     if opts.max_models is not None:
         models = _capped(models, opts.max_models, searcher.stats)
     return models
-
-
-def _first_of_class(models):
-    """(m, perm) for the first-seen m of each isomorphism class, where
-    m.permuted(perm) is its canonical form."""
-    seen = set()
-    for m in models:
-        key, perm = m.canonical_labeling()
-        if key not in seen:
-            seen.add(key)
-            yield m, perm
 
 
 def _capped(models, cap, stats):
@@ -509,4 +544,9 @@ def count_models(theory, size, upto_iso=True) -> int:
 
 def isofilter(models):
     """First-seen representative of each isomorphism class, order kept."""
-    return (m for m, _ in _first_of_class(models))
+    seen = set()
+    for m in models:
+        key = m.canonical_labeling()[0]
+        if key not in seen:
+            seen.add(key)
+            yield m

@@ -12,6 +12,8 @@ from hooplab.chains import (
 from hooplab.hoops import (
     builtin_theory, derived_tables, lukasiewicz, name_property,
 )
+from hooplab.model import serialize_model
+from hooplab.search import SearchOptions, enumerate_models
 from hooplab.terms import term_vars
 
 CORPUS = {r.name: r for r in lemma_corpus()}
@@ -105,6 +107,30 @@ def test_statements_hold_in_l5():
 
 def _with_ascii_aliases(d):
     return d
+
+
+def test_chain_links_hold_in_small_hoops():
+    # every link states a law of hoops, whatever its justification (derive
+    # and lemma links included), so it holds in each of the 19 hoops up to
+    # size 5; a <= link is checked as >= with its sides swapped
+    hoops = [derived_tables(m) for n in range(1, 6)
+             for m in enumerate_models(builtin_theory("hoop"),
+                                       SearchOptions(n, upto_iso=True))]
+    assert len(hoops) == 19
+    checks = 0
+    for record in lemma_corpus():
+        chain = record.chain
+        if chain is None:
+            continue
+        prev = chain[0]
+        for line, (term, rel, _) in enumerate(chain[1:], start=2):
+            atom = (">=", term, prev) if rel == "<=" else (rel, prev, term)
+            for d in hoops:
+                assert d.satisfies(("atom", atom)), \
+                    (record.name, line, serialize_model(d))
+                checks += 1
+            prev = term
+    assert checks == 2166
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from hooplab.hoops import builtin_theory, lukasiewicz
+from hooplab.hoops import builtin_theory, derived_tables, lukasiewicz
 from hooplab.model import (
     FiniteModel, ModelError, deserialize_model, isomorphic, serialize_model,
 )
 from hooplab.search import SearchOptions, enumerate_models
 from hooplab.syntax import Theory, parse_formula_text, parse_source
+from hooplab.terms import formula_atoms, formula_vars
 
 L3 = lukasiewicz(3)
 
@@ -45,11 +46,95 @@ def test_relations():
                     {">=": ((True, False), (True, True))})
     assert m.satisfies(f("x >= 0"))
     assert not m.satisfies(f("0 >= x"))
+    # a relation given by 0/1 entries still yields bools
+    m01 = FiniteModel(2, {"0": 0}, {}, {">=": ((1, 0), (1, 1))})
+    assert m01.holds({"x": 1}, f("x >= 0")) is True
+    assert m01.holds({"x": 1}, f("0 >= x")) is False
 
 
 def test_uninterpreted_symbol_error():
     with pytest.raises(ModelError):
         L3.eval_term({}, ("mystery", ("0",)))
+
+
+def test_uninterpreted_symbols_fail_only_when_reached():
+    x = ("V", "x")
+    true = ("atom", ("=", x, x))
+    mystery = ("atom", ("=", ("mystery", x), ("0",)))
+    bare = ("atom", ("p", x))
+    # short-circuited operands are never evaluated
+    assert L3.satisfies(("or", true, mystery))
+    assert L3.satisfies(("or", true, bare))
+    assert not L3.satisfies(("and", ("not", true), mystery))
+    assert L3.satisfies(("imp", ("not", true), bare))
+    assert L3.counterexample_env(("and", ("not", true), bare)) == {"x": 0}
+    for f in (("or", mystery, true), ("and", true, mystery), bare,
+              ("not", bare)):
+        with pytest.raises(ModelError):
+            L3.satisfies(f)
+    # a function's arguments are evaluated before its own table is sought
+    with pytest.raises(ModelError, match="constant 'c'"):
+        L3.eval_term({}, ("mystery", ("c",)))
+    with pytest.raises(ModelError, match="relation 'p'"):
+        L3.holds({"x": 0}, ("atom", ("p", ("mystery", x))))
+
+
+def _ref_term(m, env, t):
+    if t[0] == "V":
+        return env[t[1]]
+    if len(t) == 1:
+        return m.constants[t[0]]
+    v = m.fun_tables[t[0]]
+    for a in t[1:]:
+        v = v[_ref_term(m, env, a)]
+    return v
+
+
+def _ref_holds(m, env, f):
+    """A plain recursive evaluator, the reference for FiniteModel's."""
+    if f[0] == "atom":
+        rel, l, r = f[1]
+        a, b = _ref_term(m, env, l), _ref_term(m, env, r)
+        return a == b if rel == "=" else m.rel_tables[rel][a][b]
+    if f[0] == "not":
+        return not _ref_holds(m, env, f[1])
+    a, b = _ref_holds(m, env, f[1]), _ref_holds(m, env, f[2])
+    return {"and": a and b, "or": a or b, "imp": not a or b,
+            "iff": a == b}[f[0]]
+
+
+_HOOPS = [derived_tables(m) for n in range(1, 5)
+          for m in enumerate_models(builtin_theory("hoop"),
+                                    SearchOptions(n, upto_iso=True))]
+_terms = st.recursive(
+    st.sampled_from([("V", "x"), ("V", "y"), ("V", "z"), ("0",), ("1",)]),
+    lambda sub: st.tuples(st.sampled_from(["+", "~"]), sub, sub),
+    max_leaves=5)
+_formulas = st.recursive(
+    st.tuples(st.just("atom"),
+              st.tuples(st.sampled_from(["=", ">="]), _terms, _terms)),
+    lambda sub: st.one_of(
+        st.tuples(st.just("not"), sub),
+        st.tuples(st.sampled_from(["and", "or", "imp", "iff"]), sub, sub)),
+    max_leaves=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_HOOPS), _formulas)
+def test_evaluator_agrees_with_reference(m, f):
+    names = sorted(formula_vars(f))
+    envs = [dict(zip(names, vals))
+            for vals in product(range(m.size), repeat=len(names))]
+    want = [_ref_holds(m, env, f) for env in envs]
+    assert [m.holds(env, f) for env in envs] == want
+    assert all(type(m.holds(env, f)) is bool for env in envs)
+    assert m.satisfies(f) == all(want)
+    assert m.counterexample_env(f) == next(
+        (env for env, ok in zip(envs, want) if not ok), None)
+    for atom in formula_atoms(f):
+        for t in atom[1:]:
+            assert [m.eval_term(env, t) for env in envs] == \
+                [_ref_term(m, env, t) for env in envs]
 
 
 def test_isomorphic_permutation():

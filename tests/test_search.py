@@ -108,6 +108,18 @@ def test_least_number_pruning_keeps_every_class(name):
             assert len(labelled) == 4 * 24 + 12
 
 
+@pytest.mark.parametrize("name", BUILTINS)
+def test_cell_key_is_the_searched_tables_key(name):
+    # up to isomorphism, leaves are keyed from the cells; that key must be
+    # the canonical key of the model of the searched tables
+    th = builtin_theory(name)
+    for n in range(1, 4 if name == "pocrim" else 5):
+        searcher = _Searcher(th, SearchOptions(n))
+        for vals in searcher.run():
+            assert searcher._key(vals) == \
+                searcher._searched_model(vals).canonical_labeling()[0]
+
+
 def test_hoops_of_size_6():
     models = list(enumerate_models(HOOP, SearchOptions(6, upto_iso=True)))
     assert len(models) == 23
@@ -119,20 +131,20 @@ def test_hoops_of_size_6():
 
 
 @pytest.mark.parametrize("name,size,upto_iso,pinned", [
-    ("hoop", 5, True, (9912, 7145, 21125, 216)),
-    ("semilattice", 5, True, (2183, 487, 11641, 1065)),
-    ("pocrim", 4, True, (640, 403, 368, 39)),
-    ("hoop", 4, False, (2252, 1443, 2996, 108)),
+    ("hoop", 5, True, (9912, 7145, 21125, 216, 206, 0)),
+    ("semilattice", 5, True, (2183, 487, 11641, 1065, 1050, 0)),
+    ("pocrim", 4, True, (640, 403, 368, 39, 32, 0)),
+    ("hoop", 4, False, (2252, 1443, 2996, 108, 0, 0)),
 ])
 def test_search_is_pinned(name, size, upto_iso, pinned):
     """The search these theories take, in SearchStats counts (decisions,
-    conflicts, eliminated, leaves).  A change to the cell order, the
-    propagation or the symmetry breaking may move them: it must then
-    update these values and say so in CHANGES.  A change that only makes
-    the searcher faster must leave them as they are."""
+    conflicts, eliminated, leaves, duplicates, rejected).  A change to the
+    cell order, the propagation or the symmetry breaking may move them: it
+    must then update these values and say so in CHANGES.  A change that
+    only makes the searcher faster must leave them as they are."""
     searcher = _Searcher(builtin_theory(name),
                          SearchOptions(size, upto_iso=upto_iso))
-    for _ in searcher.run():
+    for _ in searcher.models():
         pass
     stats = searcher.stats
     assert tuple(getattr(stats, f) for f in stats.__slots__) == pinned
