@@ -21,11 +21,24 @@ demodulation takes the pattern's variable bindings from the discrimination
 tree that found it, so it never matches the pattern a second time.
 Normal forms are memoized while the set of demodulators stays the same.
 
-Paramodulation works from per-clause sites: each active clause keeps its
-readings as an equation and the subterms it can be paramodulated into
-(with the superposition side restriction applied), filed by head symbol.
-A pair whose readings meet none of the into-clause's heads is skipped
-before anything is renamed apart.
+Every stored clause is canonical: its variables are x, y, z, u, v, w, x1,
+... in order of first occurrence.  Inferences work from per-clause data
+kept while a clause is active: its readings as an equation, the subterms
+it can be paramodulated into (with the superposition side restriction
+applied) filed by head symbol, and one copy of it renamed apart from every
+canonical clause, which serves as the paramodulation source and as the
+second clause of a resolution.  A pair whose readings meet none of the
+into-clause's heads is skipped before any unification.  Each inference
+builds its clause canonical as it applies the unifier
+(terms.canonical_instance); a generated clause is renamed again only when
+simplification rewrites it or resolves a literal away and it is not a
+tautology.
+
+Forward subsumption files each live clause under its heaviest atom (and
+that atom flipped, for an equation).  Retrieving a new clause's atom
+returns a candidate with the bindings of its indexed literal's variables,
+and the subsumption check starts from them, matching only the candidate's
+other literals.
 
 For a symbol that the assumptions declare associative and commutative, a
 new clause with a positive equation whose sides are equal modulo AC is
@@ -44,10 +57,11 @@ import time
 from itertools import count
 
 from .terms import (GREATER, INCOMPARABLE, LESS, VAR, ac_normal,
-                    canonical_clause, canonical_renaming, clause_weight,
-                    clausify, is_tautology, lpo_gt, match, rename_apart,
-                    replace_at, substitute, substitute_clause,
-                    subterm_patterns, subterms, term_size, unify)
+                    canonical_clause, canonical_instance, canonical_renaming,
+                    clause_vars, clause_weight, clausify, is_tautology,
+                    lpo_gt, match, rename_apart, replace_at, substitute,
+                    substitute_clause, subterm_patterns, subterms, term_size,
+                    unify)
 
 EMPTY = ()
 
@@ -114,13 +128,15 @@ class Proof:
 
 class ProverStats:
     """What a proof search did, in counters: given clauses; clauses the
-    inference rules generated; clauses kept (made live, input clauses
+    inference rules generated, and those of them that demodulation
+    rewrote at least once; clauses kept (made live, input clauses
     included); simplified clauses deleted as tautologies (AC ones
     included), as duplicates of a live clause, or as forward-subsumed;
     live clauses back-simplified; and clauses made demodulators."""
 
-    __slots__ = ("given", "generated", "kept", "tautologies", "duplicates",
-                 "forward_subsumed", "back_simplified", "demodulators")
+    __slots__ = ("given", "generated", "forward_demodulated", "kept",
+                 "tautologies", "duplicates", "forward_subsumed",
+                 "back_simplified", "demodulators")
 
     def __init__(self):
         for name in self.__slots__:
@@ -221,41 +237,53 @@ def _ac_symbols(clauses):
     return comm & assoc
 
 
-def _subsumes(c, d):
-    """True if some substitution maps c into a subset of d (equations may
-    match either way around)."""
-    if len(c) > len(d):
-        return False
-    # the d atoms each literal of c matches on its own; the joint search
-    # then starts from the literal with the fewest
+def _flips(atom):
+    """An atom, and for an equation with distinct sides also its flip."""
+    if atom[0] == "=" and atom[1] != atom[2]:
+        return atom, (atom[0], atom[2], atom[1])
+    return atom,
+
+
+def _subsumes(c, li, binding, targets):
+    """Whether binding, which maps literal li of c onto a literal of a
+    clause, extends to a substitution that maps each other literal of c
+    onto one of targets, that clause's literals with equations both ways
+    round."""
+    # per other literal, the targets it matches under binding, each with
+    # that match; the joint search starts from the literal with the fewest
     options = []
-    for pol, atom in c:
+    for j, (pol, atom) in enumerate(c):
+        if j == li:
+            continue
         opts = []
-        for pol2, atom2 in d:
-            if pol2 != pol or atom2[0] != atom[0]:
-                continue
-            flips = [atom2]
-            if atom2[0] == "=" and atom2[1] != atom2[2]:
-                flips.append((atom2[0], atom2[2], atom2[1]))
-            for cand in flips:
-                if match(atom, cand) is not None:
-                    opts.append(cand)
+        for pol2, atom2 in targets:
+            if pol2 == pol and atom2[0] == atom[0]:
+                b = match(atom, atom2, dict(binding))
+                if b is not None:
+                    opts.append((atom2, b))
         if not opts:
             return False
         options.append((atom, opts))
     options.sort(key=lambda o: len(o[1]))
 
-    def go(i, binding):
+    def go(i, b):
         if i == len(options):
             return True
         atom, opts = options[i]
-        for atom2 in opts:
-            b = match(atom, atom2, dict(binding))
-            if b is not None and go(i + 1, b):
+        for atom2, _ in opts:
+            b2 = match(atom, atom2, dict(b))
+            if b2 is not None and go(i + 1, b2):
                 return True
         return False
 
-    return go(0, {})
+    return any(go(1, b) for _, b in options[0][1])
+
+
+def _apart(clause):
+    """clause with every variable renamed apart from those of every
+    canonical clause, by an underscore in front."""
+    return substitute_clause(clause, {v: (VAR, "_" + v)
+                                      for v in clause_vars(clause)})
 
 
 def _literal(clause, li):
@@ -568,13 +596,15 @@ class _State:
         # term -> (normal form, entries) under the current demodulators;
         # cleared whenever one is added or retired
         self._norm_memo = {}
-        # live id -> (readings, into-sites by head symbol, all into-sites)
+        # live id -> (readings, into-sites by head symbol, all into-sites,
+        # the clause renamed apart)
         self._sites = {}
         self.sub_ix = _InstanceIndex()  # subterms of the live clauses
-        # forward subsumption: each live clause under one of its atoms
-        self.clause_ix = _DiscTree()  # atom -> (id, polarity, atom)
+        # forward subsumption: each live clause under one of its atoms, as
+        # (id, polarity, atom, literal index, the atom's variables by
+        # first occurrence)
+        self.clause_ix = _DiscTree()
         self.pick = 0
-        self.salt = count(1)
         self.stats = ProverStats()
         self.deadline = None
 
@@ -607,7 +637,7 @@ class _State:
             raise _Contradiction(sid)
         simplified, justification = self.simplify(raw, [("copy", sid)])
         if len(justification) > 1:  # rewritten or a literal resolved away
-            self.keep(simplified, justification)
+            self.keep(simplified, justification, canonical=False)
         else:
             self._install(sid, raw, input_clause=True)
 
@@ -701,11 +731,17 @@ class _State:
 
     # -- adding derived clauses
 
-    def add(self, clause, justification):
-        # canonical variable names from the start, so that the memo and
-        # index keys of simplification carry no rename_apart salt
-        return self.keep(*self.simplify(canonical_clause(clause),
-                                        justification))
+    def add(self, clause, justification, generated=False):
+        """Simplify a canonical clause and keep it unless it is redundant.
+        generated says that an inference made it, so that it counts as
+        forward-demodulated when demodulation rewrites it."""
+        simplified, full = self.simplify(clause, justification)
+        added = full[len(justification):]
+        if generated and added and added[0][0] == "rewrite":
+            self.stats.forward_demodulated += 1
+        # a rewrite or a resolved literal may leave the variables out of
+        # order; dropping repeated literals does not
+        self.keep(simplified, full, canonical=not added)
 
     def simplify(self, clause, justification):
         """The clause's normal form under the demodulators with its trivial
@@ -725,25 +761,26 @@ class _State:
                 kept.append((pol, atom))
         return tuple(kept), justification
 
-    def keep(self, clause, justification):
+    def keep(self, clause, justification, canonical=True):
         """Install a simplified clause as a new step unless it is
-        redundant; its step id, or None."""
+        redundant; canonical says that its variables are named canonically
+        already."""
         stats = self.stats
         if is_tautology(clause) or self._ac_tautology(clause):
             stats.tautologies += 1
-            return None
-        key = canonical_clause(clause)
-        if key in self.keys:
+            return
+        if not canonical:
+            clause = canonical_clause(clause)
+        if clause in self.keys:
             stats.duplicates += 1
-            return None
+            return
         if clause and self._forward_subsumed(clause):
             stats.forward_subsumed += 1
-            return None
-        sid = self._new_step(key, justification)
+            return
+        sid = self._new_step(clause, justification)
         if not clause:
             raise _Contradiction(sid)
-        self._install(sid, key)
-        return sid
+        self._install(sid, clause)
 
     def _ac_tautology(self, clause):
         ac = self.ac_symbols
@@ -764,29 +801,38 @@ class _State:
         # a subsumer maps every literal into the subsumed clause, so it is
         # found through any one of them: take the heaviest, the least
         # likely to match
-        pol, atom = max(key, key=lambda lit: clause_weight((lit,)))
-        pats = [atom]
-        if atom[0] == "=" and atom[1] != atom[2]:
-            pats.append((atom[0], atom[2], atom[1]))
-        self.live[sid] = vals = [(sid, pol, pat) for pat in pats]
+        li, (pol, atom) = max(enumerate(key),
+                              key=lambda e: clause_weight((e[1],)))
+        self.live[sid] = vals = [
+            (sid, pol, pat, li, tuple(canonical_renaming([pat])))
+            for pat in _flips(atom)]
         for val in vals:
             self.clause_ix.insert(val[2], val)
         self._maybe_new_demod(sid, key, input_clause)
 
     def _forward_subsumed(self, clause):
+        """Whether a live clause subsumes clause: some substitution maps
+        each of its literals onto a literal of clause, equations either way
+        round.  The substitution maps the subsumer's indexed literal onto
+        some literal of clause, so retrieving that literal's atom finds the
+        subsumer with the bindings of the indexed literal's variables; the
+        search starts from them and matches the other literals only."""
         feats = _clause_feats(clause)
-        tried = set()
+        targets = None      # clause's literals, equations both ways round
         for pol, atom in clause:
-            for (sid, pol2, _), _ in self.clause_ix.retrieve(atom):
+            for (sid, pol2, _, li, names), binds in \
+                    self.clause_ix.retrieve(atom):
                 if pol2 != pol:
                     continue
                 other = self.steps[sid].clause
                 if len(other) == 1:
                     return True
-                if sid in tried:
+                if len(other) > len(clause) or not self.feats[sid] <= feats:
                     continue
-                tried.add(sid)
-                if self.feats[sid] <= feats and _subsumes(other, clause):
+                if targets is None:
+                    targets = [(p, a) for p, lit in clause
+                               for a in _flips(lit)]
+                if _subsumes(other, li, dict(zip(names, binds)), targets):
                     return True
         return False
 
@@ -801,7 +847,7 @@ class _State:
         ordered = len(eqs) == 2
         if not eqs or ordered and not input_clause:
             return
-        if ordered and canonical_clause(clause) == canonical_clause(
+        if ordered and clause == canonical_clause(
                 ((True, ("=", eqs[1][1], eqs[1][2])),)):
             eqs = eqs[:1]
         self.stats.demodulators += 1
@@ -873,10 +919,11 @@ class _State:
 
     def _para_sites(self, sid):
         """Clause sid's readings as a paramodulation source
-        (_equations_of), and the sites (li, ai, path, subterm) it can be
+        (_equations_of); the sites (li, ai, path, subterm) it can be
         paramodulated into, by head symbol and all together, each in
         visiting order: literals, then atom arguments, then subterms in
-        preorder.  Cached while the clause lives."""
+        preorder; and the clause renamed apart from every canonical
+        clause.  Cached while the clause lives."""
         got = self._sites.get(sid)
         if got is None:
             clause = self.steps[sid].clause
@@ -895,21 +942,20 @@ class _State:
                         every.append(site)
                         by_head.setdefault(sub[0], []).append(site)
             got = self._sites[sid] = (self._equations_of(clause), by_head,
-                                      every)
+                                      every, _apart(clause))
         return got
 
     def _paramodulate(self, from_id, into_id, out):
-        eqs = self._para_sites(from_id)[0]
+        eqs, _, _, from_apart = self._para_sites(from_id)
         if not eqs:
             return
-        _, by_head, every = self._para_sites(into_id)
+        _, by_head, every, _ = self._para_sites(into_id)
         if not any(lhs[0] == VAR or lhs[0] in by_head for _, lhs, _ in eqs):
             return
         into_cl = self.steps[into_id].clause
-        # the readings are of the stored clause; rename only the chosen
-        # sides apart
-        _, left, right = rename_apart(self.steps[from_id].clause,
-                                      next(self.salt))[0][1]
+        # the readings are of the stored clause; take the chosen sides
+        # from its renamed copy
+        _, left, right = from_apart[0][1]
         for side, _, _ in eqs:
             lhs, rhs = (left, right) if side == "l" else (right, left)
             sites = every if lhs[0] == VAR else by_head.get(lhs[0], ())
@@ -920,9 +966,9 @@ class _State:
                 if b is None:
                     continue
                 pol, atom = into_cl[li]
-                new_t = replace_at(atom[ai], path, substitute(rhs, b))
+                new_t = replace_at(atom[ai], path, rhs)
                 new_atom = atom[:ai] + (new_t,) + atom[ai + 1:]
-                new_cl = substitute_clause(
+                new_cl = canonical_instance(
                     into_cl[:li] + ((pol, new_atom),) + into_cl[li + 1:], b)
                 out.append((new_cl, [(
                     "para", from_id, side, into_id, li,
@@ -934,7 +980,7 @@ class _State:
                    for pol, pred in self.feats[id1] if pred != "="):
             return
         c1 = self.steps[id1].clause
-        c2 = rename_apart(self.steps[id2].clause, next(self.salt))
+        c2 = self._para_sites(id2)[3]     # renamed apart from c1
         for i, (p1, a1) in enumerate(c1):
             if a1[0] == "=":
                 continue
@@ -944,7 +990,7 @@ class _State:
                 b = unify(a1, a2)
                 if b is None:
                     continue
-                new_cl = substitute_clause(
+                new_cl = canonical_instance(
                     c1[:i] + c1[i + 1:] + c2[:j] + c2[j + 1:], b)
                 out.append((new_cl, [("resolve", id1, i, id2, j)]))
 
@@ -958,7 +1004,7 @@ class _State:
                 b = unify(a1, a2)
                 if b is None:
                     continue
-                new_cl = substitute_clause(clause[:j] + clause[j + 1:], b)
+                new_cl = canonical_instance(clause[:j] + clause[j + 1:], b)
                 out.append((new_cl, [("factor", sid, i, j)]))
 
     def _equality_resolve(self, sid, out):
@@ -969,7 +1015,7 @@ class _State:
             b = unify(atom[1], atom[2])
             if b is None:
                 continue
-            new_cl = substitute_clause(clause[:i] + clause[i + 1:], b)
+            new_cl = canonical_instance(clause[:i] + clause[i + 1:], b)
             out.append((new_cl, [("copy", sid), ("xx", i)]))
 
     # -- main loop
@@ -1031,7 +1077,7 @@ class _State:
                 for clause, just in new:
                     if self._late():
                         return LimitReached("max_seconds", stats)
-                    self.add(clause, just)
+                    self.add(clause, just, generated=True)
             except _Contradiction as c:
                 return Proved(self._reconstruct(c.step_id), stats)
         return Exhausted(stats)

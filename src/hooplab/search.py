@@ -101,7 +101,7 @@ class SearchOptions:
 
 
 class _Searcher:
-    def __init__(self, theory, opts: SearchOptions):
+    def __init__(self, theory, opts: SearchOptions, stats=None):
         self.theory = theory
         self.opts = opts
         self.n = opts.size
@@ -168,7 +168,7 @@ class _Searcher:
         # "one unknown cell, nothing forced"
         self.force_mult = max(self.n, 2) + 1
         self.unforced = self.force_mult - 1
-        self.stats = SearchStats()
+        self.stats = SearchStats() if stats is None else stats
         self.checkers = self._compile(clauses)
 
     def _compile(self, clauses):
@@ -510,15 +510,17 @@ class _Searcher:
         return m
 
 
-def enumerate_models(theory, opts: SearchOptions):
+def enumerate_models(theory, opts: SearchOptions, stats: SearchStats = None):
     """Stream the models of theory at opts.size in deterministic order.
 
     With goals present, only models falsifying at least one goal are
     emitted (counterexample mode).  With upto_iso, the canonical form of
     the first model found in each isomorphism class is emitted.  Raises
     SearchLimit when max_models or max_seconds cuts the search short.
+    stats, when given, is the SearchStats the search counts into, so the
+    caller can read it also after a search that runs to completion.
     """
-    searcher = _Searcher(theory, opts)
+    searcher = _Searcher(theory, opts, stats)
     models = searcher.models()
     if opts.max_models is not None:
         models = _capped(models, opts.max_models, searcher.stats)

@@ -253,6 +253,36 @@ def canonical_clause(clause):
     return substitute_clause(clause, binding)
 
 
+def canonical_instance(clause, binding):
+    """canonical_clause(substitute_clause(clause, binding)) in one
+    left-to-right walk.  binding must be idempotent: no variable it binds
+    occurs in a value it binds, as with the result of unify."""
+    images = {}     # variable name -> its image in the result
+    free = 0        # unbound variables met so far
+
+    def walk(t):
+        nonlocal free
+        if t[0] == VAR:
+            got = images.get(t[1])
+            if got is None:
+                bound = binding.get(t[1])
+                if bound is None:
+                    got = var(canon_var_name(free))
+                    free += 1
+                else:
+                    got = walk(bound)
+                images[t[1]] = got
+            return got
+        if len(t) == 3:
+            return (t[0], walk(t[1]), walk(t[2]))
+        if len(t) == 1:
+            return t
+        return (t[0], *[walk(a) for a in t[1:]])
+
+    return tuple((pol, (atom[0], *[walk(a) for a in atom[1:]]))
+                 for pol, atom in clause)
+
+
 def rename_apart(clause, salt: int):
     """Rename variables injectively to fresh names determined by salt."""
     binding = {v: var("%s_%d" % (v.rstrip("_0123456789") or v, salt))

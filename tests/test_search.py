@@ -7,8 +7,8 @@ import pytest
 from hooplab.hoops import builtin_theory, derived_tables, is_hoop, lukasiewicz
 from hooplab.model import isomorphic
 from hooplab.search import (
-    SearchError, SearchLimit, SearchOptions, _Searcher, count_models,
-    enumerate_models, isofilter,
+    SearchError, SearchLimit, SearchOptions, SearchStats, _Searcher,
+    count_models, enumerate_models, isofilter,
 )
 from hooplab.syntax import parse_formula_text, parse_source
 
@@ -142,11 +142,10 @@ def test_search_is_pinned(name, size, upto_iso, pinned):
     cell order, the propagation or the symmetry breaking may move them: it
     must then update these values and say so in CHANGES.  A change that
     only makes the searcher faster must leave them as they are."""
-    searcher = _Searcher(builtin_theory(name),
-                         SearchOptions(size, upto_iso=upto_iso))
-    for _ in searcher.models():
+    stats = SearchStats()
+    for _ in enumerate_models(builtin_theory(name),
+                              SearchOptions(size, upto_iso=upto_iso), stats):
         pass
-    stats = searcher.stats
     assert tuple(getattr(stats, f) for f in stats.__slots__) == pinned
 
 

@@ -2,12 +2,13 @@
 orderings and clausification."""
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from hooplab.terms import (
-    canonical_clause, canonical_renaming, clause_weight, clausify, lpo_gt,
-    match, positions, rename_apart, replace_at, substitute, subterm_at,
-    subterms, term_size, term_vars, unify, var,
+    canonical_clause, canonical_instance, canonical_renaming, clause_weight,
+    clausify, lpo_gt, match, positions, rename_apart, replace_at,
+    substitute, substitute_clause, subterm_at, subterms, term_size,
+    term_vars, unify, var,
 )
 
 X, Y, Z = var("x"), var("y"), var("z")
@@ -166,6 +167,29 @@ def test_canonical_clause_is_renaming_invariant():
     c1 = ((True, ("=", plus(var("u1"), var("w2")), var("u1"))),)
     c2 = ((True, ("=", plus(X, Y), X)),)
     assert canonical_clause(c1) == canonical_clause(c2)
+
+
+# variables named as in canonical clauses and as in a renamed-apart copy
+_mixed_terms = st.recursive(
+    st.sampled_from([X, Y, Z, var("_x"), var("_y"), ZERO]),
+    lambda sub: st.builds(plus, sub, sub) | st.builds(minus, sub, sub),
+    max_leaves=5)
+_literals = st.tuples(st.booleans(), st.sampled_from(["=", ">="]),
+                      _mixed_terms, _mixed_terms).map(
+    lambda l: (l[0], (l[1], l[2], l[3])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_literals, max_size=3), _mixed_terms, _mixed_terms)
+# a bound variable whose value holds a variable that also occurs unbound
+@example([(True, ("=", plus(var("_x"), X), Y))], plus(X, Y),
+         plus(minus(Y, var("_y")), Z))
+def test_canonical_instance_is_canonical_clause_of_the_instance(clause, s, t):
+    b = unify(s, t)
+    if b is None:
+        b = {}
+    assert canonical_instance(clause, b) == \
+        canonical_clause(substitute_clause(clause, b))
 
 
 def test_clausify_equation():
