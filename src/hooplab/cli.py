@@ -6,7 +6,7 @@
     hooplab verify --proof PATH -f FILES...
     hooplab mine --proof PATH -f FILES... [--min-count C] [--min-size Z]
     hooplab construct (--ln N | --osum SPEC | --product SPEC) [--derived]
-    hooplab lemmas [--verify-chains] [--check-models N] [--prove NAME]
+    hooplab lemmas [--verify-chains | --check-models N | --prove NAME]
     hooplab check --model PATH -f FILES...
 
 Exit codes: 0 proved / models found / checks passed; 1 search exhausted or
@@ -353,9 +353,10 @@ def _build_parser():
                    default="tables")
 
     p = sub.add_parser("lemmas", help="lemma corpus checks")
-    p.add_argument("--verify-chains", action="store_true")
-    p.add_argument("--check-models", type=int, metavar="N")
-    p.add_argument("--prove", metavar="NAME")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--verify-chains", action="store_true")
+    mode.add_argument("--check-models", type=int, metavar="N")
+    mode.add_argument("--prove", metavar="NAME")
     p.add_argument("--max-seconds", type=float, default=DEFAULT_MAX_SECONDS)
     p.add_argument("--max-given", type=int, default=DEFAULT_MAX_GIVEN)
 

@@ -342,14 +342,9 @@ def _term_fn(m, t, pos):
         return itemgetter(pos[t[1]])
     name, args = t[0], t[1:]
     if not args:
-        if name in m.constants:
-            v = m.constants[name]
-        elif name.isdigit() and int(name) < m.size \
-                and name not in m.fun_tables:
-            # numerals name elements directly when not interpreted
-            v = int(name)
-        else:
+        if name not in m.constants:
             return _raising("uninterpreted constant %r" % name, ())
+        v = m.constants[name]
         return lambda e: v
     fns = [_term_fn(m, a, pos) for a in args]
     table = m.fun_tables.get(name)

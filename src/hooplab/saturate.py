@@ -101,7 +101,6 @@ class ProofStep:
       | ("resolve", id1, lit1, id2, lit2) | ("factor", id, lit1, lit2)
     secondary:
       ("rewrite", [(demod_id, lit, path, side), ...]) | ("xx", lit)
-      | ("flip", lit)
     side is "l" or "r" (which side of the unit equation acted as left-hand
     side); lit is a 0-based literal index; path is a tuple whose first entry
     is the 1-based atom-argument index, the rest 1-based term-argument
@@ -354,13 +353,6 @@ def _apply_secondary(clause, ops, get_clause, prec=None):
                 raise ProverError("xx sides do not unify")
             clause = _dedup(substitute_clause(
                 clause[:li] + clause[li + 1:], b))
-        elif kind == "flip":
-            li = op[1]
-            pol, atom = _literal(clause, li)
-            if atom[0] != "=":
-                raise ProverError("flip needs an equation")
-            clause = (clause[:li] + ((pol, (atom[0], atom[2], atom[1])),)
-                      + clause[li + 1:])
         else:
             raise ProverError("unknown secondary rule %r" % kind)
     return clause
@@ -1288,7 +1280,7 @@ def mine_patterns(proof: Proof, min_count: int = 2, min_size: int = 3):
 # equation used as left-hand side (l or r), p a path of 1-based argument
 # indices.  rewrite has one field, a list of entries ID(LIT,PATH,SIDE).
 _OP_FIELDS = {"goal": "", "assumption": "", "deny": "d", "copy": "d",
-              "xx": "l", "flip": "l", "para": "dsdlp", "resolve": "dldl",
+              "xx": "l", "para": "dsdlp", "resolve": "dldl",
               "factor": "dll", "rewrite": "w"}
 _REWRITE_FIELDS = "dlps"
 _FIELD_RES = {"d": "[0-9]+", "l": "[0-9]+", "s": "[lr]",

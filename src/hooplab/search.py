@@ -11,18 +11,18 @@ grow one at a time.
 Each assumption clause is compiled to one generated Python checker whose
 parameters are the clause's variables; a ground instance is that checker
 with the variables bound (_compile).  It answers satisfied, conflict, the
-cell its evaluation is blocked on, the value unit propagation forces into a
-cell, or that it is down to one unknown cell and forces nothing.  Each
-instance watches the cell it is blocked on and is re-checked when that cell
-gets a value; conflicts prune the branch and forced values are assigned at
-once.  An instance found satisfied is looked at again only once that cell
-has been unassigned, so satisfied verdicts need no cache.  Every cell also
-keeps a domain, a bitmask of the values not yet ruled out: an instance down
-to one unknown cell is tried with each value left in it, and the values
-under which it fails are removed (negative propagation).
-An emptied domain is a conflict, a domain left with one value forces it, and
-a forced value outside the domain is a conflict.  Assignments, watches and
-domains are logged per decision level and undone on backtrack.
+cell its evaluation is blocked on, or that it is down to one unknown cell.
+Each instance watches the cell it is blocked on and is re-checked when that
+cell gets a value; conflicts prune the branch.  An instance found satisfied
+is looked at again only once that cell has been unassigned, so satisfied
+verdicts need no cache.  Every cell also keeps a domain, a bitmask of the
+values not yet ruled out, and one rule propagates an instance down to one
+unknown cell: it is tried with each value left in that cell's domain, and
+the values under which it fails are removed (domain elimination, which also
+does what SEM's unit forcing does).  An emptied domain is a conflict, and a
+domain left with one value is assigned at once.  The root is one such
+propagation over every instance.  Assignments, watches and domains are
+logged per decision level and undone on backtrack.
 
 Up to isomorphism, a decision tries only the elements already mentioned by
 the assigned cells (their arguments along the fixed order and their values)
@@ -164,10 +164,6 @@ class _Searcher:
                 self.leaf_formulas.append(f)
             else:
                 clauses.extend(clausify(f, "assumption"))
-        # forced codes carry cell * mult + value; value slot mult - 1 says
-        # "one unknown cell, nothing forced"
-        self.force_mult = max(self.n, 2) + 1
-        self.unforced = self.force_mult - 1
         self.stats = SearchStats() if stats is None else stats
         self.checkers = self._compile(clauses)
 
@@ -187,23 +183,17 @@ class _Searcher:
         evaluated, and a true one returns at once.
 
         checker(vals) -> -2 satisfied, -1 conflict, a cell id >= 0 the
-        evaluation is blocked on (more than one lookup blocked), or <= -10
-        encoding -10 - (cell * mult + value) when exactly one lookup is
-        blocked, on that cell.  A value below ``self.unforced`` is forced
-        by unit propagation: every other literal of the instance is false
-        and the remaining literal's only unknown is its last table lookup
-        (for a positive equality the forced value is the other side; for a
-        relation literal it is the required truth value, 1 or 0).  The
-        value ``self.unforced`` says the instance forces nothing; trying the
-        cell's values one by one then tells which of them it rules out.
+        evaluation is blocked on when more than one lookup is blocked, or
+        -3 - c when exactly one lookup is blocked, on cell c; trying c's
+        values one by one then tells which of them the instance rules out.
         """
-        n, mult, base = self.n, self.force_mult, self.base
+        n, base = self.n, self.base
         lines = []
 
         def put(text):
             lines.append("    " * depth + text)
 
-        def lookup(name, args, forced=None):
+        def lookup(name, args):
             # one table lookup; code after it runs only when it succeeded
             nonlocal depth, tmp
             if args:
@@ -219,18 +209,16 @@ class _Searcher:
             put("%s = vals[%s]" % (t, cell))
             put("if %s is None:" % t)
             put("    nb += 1")
-            if forced is not None:
-                put("    if nb == 1: f = %s * %d + %s" % (cell, mult, forced))
             put("    if b < 0: b = %s" % cell)
             put("else:")
             depth += 1
             return t
 
-        def term(t, forced=None):
+        def term(t):
             # post-order: the arguments' lookups come before the root's
             if t[0] == VAR:
                 return env[t[1]]
-            return lookup(t[0], [term(a) for a in t[1:]], forced)
+            return lookup(t[0], [term(a) for a in t[1:]])
 
         arities = []
         for k, clause in enumerate(clauses):
@@ -240,26 +228,17 @@ class _Searcher:
             arities.append(len(names))
             lines += ["def chk%d(%s):" % (k, ", ".join(
                           [env[v] for v in names] + ["vals"])),
-                      "    b = -1", "    nb = 0", "    f = -1"]
+                      "    b = -1", "    nb = 0"]
             tmp = 0
             for pol, atom in clause:
                 depth = 1
-                if atom[0] != "=":
-                    cond = lookup(atom[0], [term(a) for a in atom[1:]],
-                                  "1" if pol else "0")
-                elif atom[2][0] == VAR:
-                    # the last lookup, if any, is the left side's root
-                    rhs = env[atom[2][1]]
-                    cond = "%s == %s" % (
-                        term(atom[1], rhs if pol else None), rhs)
+                if atom[0] == "=":
+                    cond = "%s == %s" % (term(atom[1]), term(atom[2]))
                 else:
-                    lhs = term(atom[1])
-                    cond = "%s == %s" % (
-                        lhs, term(atom[2], lhs if pol else None))
+                    cond = lookup(atom[0], [term(a) for a in atom[1:]])
                 put("if %s%s: return -2" % ("" if pol else "not ", cond))
             lines += ["    if nb == 0: return -1",
-                      "    if nb == 1: return -10 - (f if f >= 0 else "
-                      "b * %d + %d)" % (mult, self.unforced),
+                      "    if nb == 1: return -3 - b",
                       "    return b"]
         ns = {}
         exec("\n".join(lines), ns)  # noqa: S102 - generated from terms only
@@ -300,39 +279,18 @@ class _Searcher:
         # dom[cell]: bitmask of the values not yet ruled out for the cell
         self.dom = [3 if rel else full for rel in self.is_rel_cell]
         watch = [[] for _ in range(self.cell_count)]
-        mult, unforced = self.force_mult, self.unforced
         stats = self.stats
 
-        # initial pass: register watches; values dictated by variable-free
-        # unit instances are assigned up front and never undone
-        init_forced = {}
-        for idx, chk in enumerate(self.checkers):
-            res = chk(vals)
-            if res == -1:
-                return
-            if res >= 0:
-                watch[res].append(idx)
-            elif res <= -10:
-                c, v = divmod(-10 - res, mult)
-                watch[c].append(idx)
-                if v != unforced and init_forced.setdefault(c, v) != v:
-                    return
-        root_vmax = -1
-        root_wlog, root_trail, root_dtrail = [], [], []
-        for c, v in sorted(init_forced.items()):
-            if vals[c] is None:
-                ok, vm = self._propagate(c, v, vals, watch, root_wlog,
-                                         root_trail, root_dtrail)
-                if not ok:
-                    return
-                root_vmax = max(root_vmax, vm)
-            elif vals[c] != v:
-                return
+        # the root pass checks every instance once; what it assigns and
+        # removes is never undone
+        ok, root_vmax = self._propagate(None, None, vals, watch, [], [], [])
+        if not ok:
+            return
 
         deadline = (time.monotonic() + self.opts.max_seconds
                     if self.opts.max_seconds else None)
         # per decision level: trail[pos] = cells assigned by that decision
-        # (the decision cell plus everything unit propagation forced),
+        # (the decision cell plus every cell propagation assigned),
         # wlog[pos] = watch-list additions, dtrail[pos] = (cell, old domain)
         # for every domain narrowed; all undone LIFO on backtrack.
         # vmax[pos]: largest element value assigned up to and including pos.
@@ -390,7 +348,7 @@ class _Searcher:
                 yield vals
             else:
                 push(pos + 1)
-        # loop leaves root-forced vals set; harmless, search is over
+        # loop leaves root-assigned vals set; harmless, search is over
 
     def _domain(self, pos, vmax_before):
         cell = self.order[pos]
@@ -405,36 +363,38 @@ class _Searcher:
         return [v for v in range(top) if d >> v & 1]
 
     def _propagate(self, cell, value, vals, watch, wlog, trail, dtrail):
-        """Assign cell := value and propagate to a fixed point.
+        """Assign cell := value and propagate to a fixed point; with cell
+        None, check every instance once instead (the root pass).
 
         Instances watching an assigned cell are re-checked; newly blocked
-        ones additionally watch their blocking cell.  A value dictated by a
-        unit instance is assigned immediately (possibly out of cell order)
-        and propagated in turn.  An instance down to one unknown cell that
-        dictates nothing is tried with each value left in that cell's
-        domain, and the values under which it fails are removed; a domain
-        left with one value dictates it.  A dictated value outside its
-        cell's domain, or an emptied domain, fails at once.  Returns (ok,
-        vmax) where vmax is the largest element assigned to a function cell
-        here; all changes are logged for backtracking."""
+        ones additionally watch their blocking cell.  An instance down to
+        one unknown cell is tried with each value left in that cell's
+        domain, and the values under which it fails are removed.  An
+        emptied domain fails at once; a domain left with one value is
+        assigned (possibly out of cell order) and propagated in turn.
+        Returns (ok, vmax) where vmax is the largest element assigned to a
+        function cell here; all changes are logged for backtracking."""
         checkers = self.checkers
-        mult, unforced = self.force_mult, self.unforced
         is_rel = self.is_rel_cell
         dom = self.dom
         stats = self.stats
+        # a queued cell keeps its place: a trial value can send an
+        # evaluation to a cell not assigned yet, so what is removed depends
+        # on the order in which cells are assigned
         queue = [(cell, value)]
-        pending = {cell: value}
+        queued = {cell}
         new_vmax = -1
         while queue:
             c0, v0 = queue.pop()
-            del pending[c0]
-            if not dom[c0] >> v0 & 1:
-                return False, new_vmax
-            vals[c0] = v0
-            trail.append(c0)
-            if not is_rel[c0] and v0 > new_vmax:
-                new_vmax = v0
-            for idx in watch[c0]:
+            if c0 is None:
+                instances = range(len(checkers))
+            else:
+                vals[c0] = v0
+                trail.append(c0)
+                if not is_rel[c0] and v0 > new_vmax:
+                    new_vmax = v0
+                instances = watch[c0]
+            for idx in instances:
                 chk = checkers[idx]
                 res = chk(vals)
                 if res == -1:
@@ -445,35 +405,27 @@ class _Searcher:
                     watch[res].append(idx)
                     wlog.append(res)
                     continue
-                c, v = divmod(-10 - res, mult)
+                c = -3 - res
                 watch[c].append(idx)
                 wlog.append(c)
-                if v == unforced:
-                    old = left = dom[c]
-                    rest = old
-                    while rest:
-                        bit = rest & -rest
-                        rest ^= bit
-                        vals[c] = bit.bit_length() - 1
-                        if chk(vals) == -1:
-                            left ^= bit
-                            stats.eliminated += 1
-                    vals[c] = None
-                    if left == old:
-                        continue
+                old = left = dom[c]
+                rest = old
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    vals[c] = bit.bit_length() - 1
+                    if chk(vals) == -1:
+                        left ^= bit
+                        stats.eliminated += 1
+                vals[c] = None
+                if left != old:
                     if not left:
                         return False, new_vmax
                     dtrail.append((c, old))
                     dom[c] = left
-                    if left & (left - 1):
-                        continue
-                    v = left.bit_length() - 1
-                w = pending.get(c)
-                if w is None:
-                    pending[c] = v
-                    queue.append((c, v))
-                elif w != v:
-                    return False, new_vmax
+                if not left & (left - 1) and c not in queued:
+                    queued.add(c)
+                    queue.append((c, left.bit_length() - 1))
         return True, new_vmax
 
     def _key(self, vals):

@@ -510,8 +510,11 @@ def render_formula(f, theory: Theory, parent_prec=10**9) -> str:
         return "-(%s)" % render_formula(inner, theory)
     symbol = {"and": "&", "or": "|", "imp": "->", "iff": "<->"}[tag]
     prec = _CONNECTIVE_PREC[tag]
+    # an operand of the same connective is bracketed, except the right one
+    # of ->, which the parser groups to the right
     s = "%s %s %s" % (render_formula(f[1], theory, prec - 1), symbol,
-                      render_formula(f[2], theory, prec))
+                      render_formula(f[2], theory,
+                                     prec if tag == "imp" else prec - 1))
     if prec > parent_prec:
         return "(" + s + ")"
     return s

@@ -72,6 +72,18 @@ def test_parse_echoes_theory():
     assert "x cup x = x." in out
 
 
+def test_parse_output_parses_again(tmp_path):
+    src = tmp_path / "iff.ax"
+    src.write_text("formulas(assumptions).\n"
+                   "   x = a <-> (y = b <-> z = c).\n"
+                   "end_of_list.\n")
+    code, out = run("parse", "-f", str(src))
+    assert code == 0
+    again = tmp_path / "again.ax"
+    again.write_text(out)
+    assert run("parse", "-f", str(again)) == (0, out)
+
+
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.ax"
     bad.write_text("formulas(assumptions).\n x = .\nend_of_list.\n")
@@ -117,6 +129,21 @@ def test_verify_roundtrip(tmp_path):
     assert out.splitlines()[0] == "PROOF VERIFIED"
 
 
+def test_verify_roundtrip_of_a_right_nested_goal(tmp_path):
+    # the goal line of the proof file is read back as the same formula
+    goal = tmp_path / "g.gl"
+    goal.write_text("formulas(goals).\n"
+                    "   x + 0 = x & (0 + x = x & x ~ x = 0).\n"
+                    "end_of_list.\n")
+    proof = tmp_path / "p.txt"
+    code, _ = run("prove", "-f", data("hoop.ax"), str(goal),
+                  "--proof-out", str(proof))
+    assert code == 0
+    code, out = run("verify", "--proof", str(proof),
+                    "-f", data("hoop.ax"), str(goal))
+    assert (code, out.splitlines()[0]) == (0, "PROOF VERIFIED")
+
+
 def test_verify_rejects_tampering(tmp_path):
     proof = tmp_path / "p.txt"
     run("prove", "-f", data("semilattice.ax"), data("sl-pr1.gl"),
@@ -133,7 +160,8 @@ def test_verify_rejects_tampering(tmp_path):
 
 def test_verify_malformed_proof_is_unreadable(tmp_path):
     proof = tmp_path / "p.txt"
-    for text in ("1 $F.  [resolve(4,0)].\n", "", "# no steps\n\n"):
+    for text in ("1 $F.  [resolve(4,0)].\n", "", "# no steps\n\n",
+                 "1 $F.  [copy(4),flip(0)].\n"):
         proof.write_text(text)
         for command in ("verify", "mine"):
             code, out = run(command, "--proof", str(proof),
@@ -189,6 +217,20 @@ def test_check_model(tmp_path):
     code, out = run("check", "--model", str(mf), "-f", data("hoop.ax"))
     assert code == 0
     assert "checks: 0 failed" in out
+
+
+def test_check_model_with_relation_table(tmp_path):
+    # the derived tables include the relation >=, read back from the file
+    _, compact = run("construct", "--ln", "3", "--derived", "--format",
+                     "compact")
+    mf = tmp_path / "m.model"
+    mf.write_text(compact)
+    code, out = run("check", "--model", str(mf), "-f", data("hoop.ax"),
+                    data("hoop-ge-def.ax"), data("hoop-defs.ax"))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:-1] == ["assumption %d: holds" % i for i in range(1, 15)]
+    assert lines[-1] == "checks: 0 failed"
 
 
 def test_check_model_failure(tmp_path):
@@ -266,6 +308,12 @@ def test_usage_errors():
     assert code == 3
     code, _ = run("frobnicate")
     assert code == 3
+    # the lemmas modes exclude each other rather than one silently winning
+    for modes in (("--verify-chains", "--check-models", "4"),
+                  ("--verify-chains", "--prove", "AA"),
+                  ("--check-models", "4", "--prove", "AA")):
+        code, out = run("lemmas", *modes)
+        assert (code, out) == (3, "")
 
 
 # Run in a fresh interpreter: one command, then a line with its exit code

@@ -55,6 +55,9 @@ def test_relations():
 def test_uninterpreted_symbol_error():
     with pytest.raises(ModelError):
         L3.eval_term({}, ("mystery", ("0",)))
+    # a numeral is a constant like any other, not the element it spells
+    with pytest.raises(ModelError, match="constant '2'"):
+        L3.eval_term({}, ("2",))
 
 
 def test_uninterpreted_symbols_fail_only_when_reached():
@@ -284,10 +287,13 @@ def test_canonical_form_is_invariant():
 
 
 def test_serialize_roundtrip():
-    line = serialize_model(L3)
-    again = deserialize_model(line)
-    assert again == L3
-    assert serialize_model(again) == line
+    # derived_tables adds the relation table >= to the function tables
+    for m in (L3, derived_tables(L3)):
+        line = serialize_model(m)
+        again = deserialize_model(line)
+        assert again == m
+        assert serialize_model(again) == line
+    assert " ; rel/2 >= = " in serialize_model(derived_tables(L3))
 
 
 @pytest.mark.parametrize("line", [

@@ -77,7 +77,7 @@ def test_bad_limits_rejected():
 
 # the fields of each operation after its kind: d a cited step id, l a
 # literal index, s a side, p a path; rewrite entries are (d, l, p, s)
-_FIELD_ROLES = {"deny": "d", "copy": "d", "xx": "l", "flip": "l",
+_FIELD_ROLES = {"deny": "d", "copy": "d", "xx": "l",
                 "para": "dsdlp", "resolve": "dldl", "factor": "dll"}
 
 
@@ -207,7 +207,8 @@ def test_verify_rejects_malformed_proof_objects():
     for just in ([], [("resolve", 4, 0)], [("factor", 5)],
                  [("copy", -1)], [("para", 4, "q", 3, 0, (1,))],
                  [("para", 4, "l", 3, 0, ())], [("rewrite", [(4, 0)])],
-                 [("copy", 4), ("xx", "0")], [("frobnicate", 4)]):
+                 [("copy", 4), ("xx", "0")], [("frobnicate", 4)],
+                 [("copy", 4), ("flip", 0)]):
         broken = Proof(proof.steps[:-1] + [ProofStep(last.id, (), just)])
         assert verify_proof(th, broken) == (
             False, "step %d: malformed justification" % last.id)
@@ -247,6 +248,36 @@ end_of_list.
 """, th)
     assert verify_proof(th, proof) == (
         False, "step 4: factor needs two distinct literals")
+
+
+def test_verify_accepts_a_factor_step():
+    th = parse_source("""
+formulas(assumptions).
+   f(x) = a | f(y) = a.
+end_of_list.
+formulas(goals).
+   f(b) = a.
+end_of_list.
+""")
+    proof = parse_proof("""1 f(b) = a # label(non_clause) # label(goal).  [goal].
+2 f(b) != a.  [deny(1)].
+3 f(x) = a | f(y) = a.  [assumption].
+4 f(x) = a.  [factor(3,0,1)].
+5 $F.  [resolve(4,0,2,0)].
+""", th)
+    assert verify_proof(th, proof)[0]
+    # each field of the factor step changed on its own is rejected there
+    steps = proof.steps
+    step = steps[3]
+    mutants = list(_field_mutants(step.justification[0][1:], "dll",
+                                  [s.id for s in steps[:3]]))
+    assert {cat for cat, _ in mutants} == {"id", "lit"}
+    for _, fields in mutants:
+        broken = Proof(steps[:3] + [ProofStep(step.id, step.clause,
+                                              [("factor",) + fields])]
+                       + steps[4:])
+        ok, report = verify_proof(th, broken)
+        assert not ok and report.startswith("step 4: "), fields
 
 
 def test_transform_renumber():
@@ -294,6 +325,7 @@ def test_parse_proof_rejects_garbage():
                  "5 $F.  [rewrite([4(0,1,x)])].",
                  "5 $F.  [copy(-1)].",                 # negative number
                  "5 $F.  [copy(4),xx(a)].",            # not a number
+                 "5 $F.  [copy(4),flip(0)].",          # no such operation
                  "5 $F.  [para(4,l,3,0,1.0)].",        # path entry 0
                  "5 $F.  [para(4,l,3,0,)].",           # empty path
                  "5 $F.  [copy(4]."):

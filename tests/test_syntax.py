@@ -1,6 +1,8 @@
 """Theory file parsing and printing."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from hooplab.syntax import (
     ParseError, Theory, TheoryError, merge_theories, parse_formula_text,
@@ -71,6 +73,27 @@ def test_render_formula_roundtrip():
                  "x != y | x = y", "x = y -> y = x"]:
         f = parse_formula_text(text, th)
         assert parse_formula_text(render_formula(f, th), th) == f
+
+
+_TERMS = st.recursive(
+    st.sampled_from([("V", "x"), ("V", "y"), ("a",)]),
+    lambda sub: st.tuples(st.just("cup"), sub, sub), max_leaves=3)
+_FORMULAS = st.recursive(
+    st.tuples(st.just("atom"),
+              st.tuples(st.sampled_from(["=", ">="]), _TERMS, _TERMS)),
+    lambda sub: (st.tuples(st.just("not"), sub)
+                 | st.tuples(st.sampled_from(["and", "or", "imp", "iff"]),
+                             sub, sub)),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FORMULAS)
+def test_render_formula_reparses(f):
+    # the printer brackets what the parser would group otherwise: & and |
+    # group to the left, -> to the right, and <-> takes one operand a side
+    th = parse_source(SEMILATTICE)
+    assert parse_formula_text(render_formula(f, th), th) == f
 
 
 def test_parse_errors_carry_position():
