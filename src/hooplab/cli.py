@@ -10,7 +10,8 @@
     hooplab check --model PATH -f FILES...
 
 Exit codes: 0 proved / models found / checks passed; 1 search exhausted or
-a check failed; 2 resource limit hit; 3 usage or parse error.  Lines
+a check failed; 2 resource limit hit or incomplete prover search; 3 usage
+or parse error.  Lines
 starting with "# " are metadata; everything else is the primary output.
 """
 

@@ -25,11 +25,13 @@ Every stored clause is canonical: its variables are x, y, z, u, v, w, x1,
 ... in order of first occurrence.  Inferences work from per-clause data
 kept while a clause is active: its readings as an equation, the subterms
 it can be paramodulated into (with the superposition side restriction
-applied) filed by head symbol, and one copy of it renamed apart from every
-canonical clause, which serves as the paramodulation source and as the
-second clause of a resolution.  A pair whose readings meet none of the
-into-clause's heads is skipped before any unification.  Each inference
-builds its clause canonical as it applies the unifier
+applied) filed by head symbol, and one copy of it renamed apart, which
+serves as the paramodulation source and as the second clause of a
+resolution.  terms.rename_apart is the one renaming apart, here and in
+verify_proof: it puts an underscore in front of every variable, a name
+that no canonical or parsed clause uses.  A pair whose readings meet none
+of the into-clause's heads is skipped before any unification.  Each
+inference builds its clause canonical as it applies the unifier
 (terms.canonical_instance); a generated clause is renamed again only when
 simplification rewrites it or resolves a literal away and it is not a
 tautology.
@@ -43,6 +45,10 @@ other literals.
 For a symbol that the assumptions declare associative and commutative, a
 new clause with a positive equation whose sides are equal modulo AC is
 deleted: it follows from those two axioms alone (it is ground joinable).
+
+Paramodulation works from positive unit equations only, so a search that
+kept a positive equation in a longer clause and ran out of clauses ends in
+LimitReached("incomplete"), not Exhausted.
 
 Proofs are by contradiction and end in the empty clause $F.  Every step
 carries a justification precise enough for independent re-derivation; see
@@ -58,7 +64,7 @@ from itertools import count
 
 from .terms import (GREATER, INCOMPARABLE, LESS, VAR, ac_normal,
                     canonical_clause, canonical_instance, canonical_renaming,
-                    clause_vars, clause_weight, clausify, is_tautology,
+                    clause_weight, clausify, is_tautology,
                     lpo_gt, match, rename_apart, replace_at, substitute,
                     substitute_clause, subterm_patterns, subterms, term_size,
                     unify)
@@ -187,7 +193,6 @@ def _dedup(clause):
     return tuple(seen)
 
 
-
 def _clause_feats(clause):
     return frozenset((pol, atom[0]) for pol, atom in clause)
 
@@ -278,13 +283,6 @@ def _subsumes(c, li, binding, targets):
     return any(go(1, b) for _, b in options[0][1])
 
 
-def _apart(clause):
-    """clause with every variable renamed apart from those of every
-    canonical clause, by an underscore in front."""
-    return substitute_clause(clause, {v: (VAR, "_" + v)
-                                      for v in clause_vars(clause)})
-
-
 def _literal(clause, li):
     if not 0 <= li < len(clause):
         raise ProverError("literal %d out of range" % li)
@@ -310,7 +308,7 @@ def _equation_step(clause, li, path, source, side, what, prec=None,
     given, the step to decrease the ordering; paramodulation (para) needs
     it to unify with a non-variable subterm and instantiates the result.
     what names source in the error messages."""
-    eq = _unit_equation(rename_apart(source, 999999))
+    eq = _unit_equation(rename_apart(source))
     if eq is None:
         raise ProverError("%s is not a positive unit equation" % what)
     lhs, rhs = eq if side == "l" else eq[::-1]
@@ -370,7 +368,7 @@ def _apply_primary(op, get_clause):
     if kind == "resolve":
         _, id1, li1, id2, li2 = op
         c1 = get_clause(id1)
-        c2 = rename_apart(get_clause(id2), 999999)
+        c2 = rename_apart(get_clause(id2))
         (p1, a1), (p2, a2) = _literal(c1, li1), _literal(c2, li2)
         if p1 == p2 or a1[0] != a2[0]:
             raise ProverError("resolved literals are not complementary")
@@ -934,7 +932,7 @@ class _State:
                         every.append(site)
                         by_head.setdefault(sub[0], []).append(site)
             got = self._sites[sid] = (self._equations_of(clause), by_head,
-                                      every, _apart(clause))
+                                      every, rename_apart(clause))
         return got
 
     def _paramodulate(self, from_id, into_id, out):
@@ -1072,6 +1070,10 @@ class _State:
                     self.add(clause, just, generated=True)
             except _Contradiction as c:
                 return Proved(self._reconstruct(c.step_id), stats)
+        if any(len(s.clause or ()) > 1 and any(
+                pol and atom[0] == "=" for pol, atom in s.clause)
+               for s in self.steps.values()):
+            return LimitReached("incomplete", stats)
         return Exhausted(stats)
 
     def _reconstruct(self, final_id):
@@ -1109,6 +1111,9 @@ def verify_proof(theory, proof: Proof):
         for f in theory.assumptions for cl in clausify(f, "assumption")}
 
     def get_clause(i):
+        if i in goal_ids:
+            raise ProverError("step %d is the goal, which has no clause; "
+                              "only deny may cite it" % i)
         return by_id[i].clause
 
     for step in proof.steps:
@@ -1187,57 +1192,52 @@ def _renumber(proof: Proof) -> Proof:
 
 
 def _expand(proof: Proof) -> Proof:
-    """Replace every multi-rewrite justification by a chain of single
-    paramodulation steps (the prooftrans 4A/4B layout)."""
+    """Give every rewrite entry of a verified proof a para step of its own
+    (the prooftrans 4A/4B layout); see the README.  A para step drops
+    repeated literals at once, so an entry cites the literal that
+    survives, and the entries of a literal dropped for equalling the one
+    rewritten, which repeat that one's later entries, are left out."""
     by_id = proof.step_map()
-    steps = []
     fresh = count(max(by_id) + 1)
+    steps = []
+
+    def get_clause(i):
+        return by_id[i].clause
+
+    def add(clause, just):
+        step = ProofStep(next(fresh), canonical_clause(clause), just)
+        by_id[step.id] = step
+        steps.append(step)
+        return step.id
+
     for step in proof.steps:
-        just = step.justification
-        if not any(op[0] == "rewrite" and len(op[1]) > 0 for op in just):
+        ops = step.justification
+        cuts = [k for k, op in enumerate(ops) if op[0] == "rewrite" and op[1]]
+        if not cuts:
             steps.append(step)
             continue
-        new_ops = []
-        current = None   # id of the clause built so far
-        clause = None
-        for op in just:
-            if op[0] == "rewrite":
-                for entry in op[1]:
-                    if current is None:
-                        # materialize the primary result as its own step
-                        base = _dedup(_apply_primary(
-                            new_ops[0], lambda i: by_id[i].clause))
-                        current = next(fresh)
-                        mid = ProofStep(current, canonical_clause(base),
-                                        list(new_ops))
-                        by_id[current] = mid
-                        steps.append(mid)
-                        clause = mid.clause
-                        new_ops = []
-                    did, li, path, side = entry
-                    clause = _dedup(_equation_step(
-                        clause, li, path, by_id[did].clause, side,
-                        "demodulator %d" % did))
-                    nid = next(fresh)
-                    mid = ProofStep(nid, canonical_clause(clause),
-                                    [("para", did, side, current, li,
-                                      path)])
-                    by_id[nid] = mid
-                    steps.append(mid)
-                    current = nid
-            else:
-                new_ops.append(op)
-        if current is not None:
-            final_ops = [("copy", current)] + [
-                op for op in new_ops if op[0] not in
-                ("copy", "para", "resolve", "factor", "assumption",
-                 "deny", "goal")]
-            final = ProofStep(step.id, step.clause, final_ops,
-                              formula=step.formula)
-        else:
-            final = step
-        by_id[step.id] = final
-        steps.append(final)
+        clause = canonical_clause(_apply_secondary(
+            _apply_primary(ops[0], get_clause), ops[1:cuts[0]], get_clause))
+        last = add(clause, ops[:cuts[0]])
+        for op in ops[cuts[0]:cuts[-1] + 1]:
+            if op[0] != "rewrite":      # an xx between two rewrites
+                clause = _apply_secondary(clause, [op], get_clause)
+                last = add(clause, [("copy", last), op])
+                continue
+            # each literal the entries cite -> its index in clause, None
+            # once dropped
+            where = list(range(len(clause)))
+            for did, li, path, side in op[1]:
+                m = where[li]
+                if m is not None:
+                    new = _equation_step(clause, m, path, get_clause(did),
+                                         side, "demodulator %d" % did)
+                    clause = _dedup(new)
+                    where = [None if w is None or new.index(new[w]) != w
+                             else clause.index(new[w]) for w in where]
+                    last = add(clause, [("para", did, side, last, m, path)])
+        steps.append(ProofStep(step.id, step.clause,
+                               [("copy", last)] + ops[cuts[-1] + 1:]))
     return Proof(steps)
 
 

@@ -19,6 +19,7 @@ from # to end of line.  Input is 7-bit ASCII.
 
 from __future__ import annotations
 
+import functools
 import re
 from importlib import resources
 
@@ -437,6 +438,19 @@ class _Parser:
         return theory
 
 
+def _depth_checked(parse):
+    """parse, with a RecursionError from input nested too deeply for the
+    recursive parser and term walks raised as a ParseError."""
+    @functools.wraps(parse)
+    def checked(*args):
+        try:
+            return parse(*args)
+        except RecursionError:
+            raise ParseError("input nested too deeply") from None
+    return checked
+
+
+@_depth_checked
 def parse_source(text: str) -> Theory:
     ops = _predeclared_symbols(text)
     parser = _Parser(tokenize(text, ops), {})
@@ -445,6 +459,7 @@ def parse_source(text: str) -> Theory:
     return theory
 
 
+@_depth_checked
 def parse_formula_text(text: str, theory: Theory):
     """Parse a single formula (no trailing dot) in a theory's operator
     context."""
@@ -456,6 +471,7 @@ def parse_formula_text(text: str, theory: Theory):
     return f
 
 
+@_depth_checked
 def parse_term_text(text: str, theory: Theory):
     ops = {sym: (prec, fixity) for prec, fixity, sym in theory.op_decls}
     parser = _Parser(tokenize(text, list(ops)), ops)

@@ -249,14 +249,14 @@ def ac_normal(t, ac_symbols):
 
 def canonical_clause(clause):
     """Clause with variables renamed canonically; used as a dedup key."""
-    binding = canonical_renaming([t for lit in clause for t in lit_terms(lit)])
-    return substitute_clause(clause, binding)
+    return canonical_instance(clause, {})
 
 
 def canonical_instance(clause, binding):
-    """canonical_clause(substitute_clause(clause, binding)) in one
-    left-to-right walk.  binding must be idempotent: no variable it binds
-    occurs in a value it binds, as with the result of unify."""
+    """substitute_clause(clause, binding) with its variables renamed to x,
+    y, z, ... by first occurrence, in one left-to-right walk.  binding
+    must be idempotent: no variable it binds occurs in a value it binds,
+    as with the result of unify."""
     images = {}     # variable name -> its image in the result
     free = 0        # unbound variables met so far
 
@@ -283,14 +283,12 @@ def canonical_instance(clause, binding):
                  for pol, atom in clause)
 
 
-def rename_apart(clause, salt: int):
-    """Rename variables injectively to fresh names determined by salt."""
-    binding = {v: var("%s_%d" % (v.rstrip("_0123456789") or v, salt))
-               for v in sorted(clause_vars(clause))}
-    # guard against accidental collisions from the stripped stem
-    if len(set(b[1] for b in binding.values())) != len(binding):
-        binding = {v: var("%s_%d" % (v, salt)) for v in sorted(clause_vars(clause))}
-    return substitute_clause(clause, binding)
+def rename_apart(clause):
+    """clause with an underscore put in front of every variable name.  The
+    parser never reads such a name as a variable, so the result shares no
+    variable with a parsed or canonical clause."""
+    return substitute_clause(clause, {v: var("_" + v)
+                                      for v in clause_vars(clause)})
 
 
 def is_tautology(clause) -> bool:
@@ -445,33 +443,12 @@ def clausify(f, mode: str, taken=()):
     skipping the names in taken (the symbols already in use).
     """
     if mode == "assumption":
-        nf = _nnf(f, True)
-    elif mode == "denied_goal":
-        nf = _nnf(f, False)
-        binding = {}    # variables in order of first occurrence
-        def visit(t):
-            if t[0] == VAR:
-                binding.setdefault(t[1], None)
-            else:
-                for a in t[1:]:
-                    visit(a)
-        def visit_nf(n):
-            if n[0] == "lit":
-                for t in n[2][1:]:
-                    visit(t)
-            else:
-                visit_nf(n[1])
-                visit_nf(n[2])
-        visit_nf(nf)
-        names = (n for n in ("c%d" % i for i in count(1)) if n not in taken)
-        for v in binding:
-            binding[v] = (next(names),)
-        def subst_nf(n):
-            if n[0] == "lit":
-                return ("lit", n[1],
-                        (n[2][0],) + tuple(substitute(t, binding) for t in n[2][1:]))
-            return (n[0], subst_nf(n[1]), subst_nf(n[2]))
-        nf = subst_nf(nf)
-    else:
+        return _cnf(_nnf(f, True))
+    if mode != "denied_goal":
         raise ValueError("unknown clausify mode %r" % (mode,))
-    return _cnf(nf)
+    # the variables by first occurrence, the order they have in the NNF
+    order = canonical_renaming([t for atom in formula_atoms(f)
+                                for t in atom[1:]])
+    names = (n for n in ("c%d" % i for i in count(1)) if n not in taken)
+    skolem = {v: (next(names),) for v in order}
+    return [substitute_clause(c, skolem) for c in _cnf(_nnf(f, False))]

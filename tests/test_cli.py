@@ -91,6 +91,16 @@ def test_parse_error_exit_code(tmp_path):
     assert code == 3
 
 
+def test_deeply_nested_input_is_a_parse_error(tmp_path, capsys):
+    deep = tmp_path / "deep.gl"
+    deep.write_text("formulas(goals).\n%sx%s = x.\nend_of_list.\n"
+                    % ("(" * 600, " + 0)" * 600))
+    code, out = run("prove", "-f", "hoop.ax", str(deep))
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == \
+        "error: parse error: input nested too deeply\n"
+
+
 def test_enumerate_golden():
     code, out = run("enumerate", "--builtin", "hoop", "--size", "4",
                     "--iso")

@@ -40,7 +40,7 @@ def with_goal(base, text):
 
 def test_idempotency_goal_proved():
     th = with_goal(SL, "x cup (x cup x) = x")
-    out = prove(th, ProverLimits(max_seconds=30))
+    out = prove(th, ProverLimits(max_given=10))
     assert out.status == "proved"
     assert out.proof.steps[-1].clause == ()
     ok, report = verify_proof(th, out.proof)
@@ -50,7 +50,7 @@ def test_idempotency_goal_proved():
 def test_transitivity_proved():
     th = with_goal(builtin_theory("semilattice_ge"),
                    "x >= y & y >= z -> x >= z")
-    out = prove(th, ProverLimits(max_seconds=60))
+    out = prove(th, ProverLimits(max_given=60))
     assert out.status == "proved"
     assert verify_proof(th, out.proof)[0]
 
@@ -202,7 +202,7 @@ def test_verify_rejects_mutations():
 
 def test_verify_rejects_malformed_proof_objects():
     th = with_goal(SL, "x cup (x cup x) = x")
-    proof = prove(th, ProverLimits(max_seconds=30)).proof
+    proof = prove(th, ProverLimits(max_given=10)).proof
     last = proof.steps[-1]
     for just in ([], [("resolve", 4, 0)], [("factor", 5)],
                  [("copy", -1)], [("para", 4, "q", 3, 0, (1,))],
@@ -278,11 +278,14 @@ end_of_list.
                        + steps[4:])
         ok, report = verify_proof(th, broken)
         assert not ok and report.startswith("step 4: "), fields
+        if fields[0] == 1:
+            assert report == ("step 4: step 1 is the goal, which has no "
+                              "clause; only deny may cite it")
 
 
 def test_transform_renumber():
     th = with_goal(SL, "x cup (x cup x) = x")
-    proof = prove(th, ProverLimits(max_seconds=30)).proof
+    proof = prove(th, ProverLimits(max_given=10)).proof
     ren = transform_proof(proof, "renumber")
     assert [s.id for s in ren.steps] == list(range(1, len(ren.steps) + 1))
     assert verify_proof(th, ren)[0]
@@ -290,20 +293,57 @@ def test_transform_renumber():
     assert [s.id for s in again.steps] == [s.id for s in ren.steps]
 
 
+def _theorem(assumptions, goal):
+    return parse_source("formulas(assumptions).\n%s\nend_of_list.\n"
+                        "formulas(goals).\n%s\nend_of_list.\n"
+                        % (assumptions, goal))
+
+
+# theorems whose proofs rewrite
+_REWRITING = [
+    with_goal(SL, "x cup (x cup x) = x"),
+    # an xx before the rewrite
+    _theorem("f(c) = d.  x != c | g(f(x)) = b.", "g(d) = b."),
+    # a rewrite makes two literals equal
+    _theorem("c = a.  c >= b | a >= b | c >= d.", "a >= b | a >= d."),
+    # a rewrite makes the second literal equal to the first, whose later
+    # entries its own entries repeat
+    _theorem("c = a.  g(g(x)) = g(x).  g(g(c)) >= b | g(g(a)) >= b | d >= e.",
+             "g(a) >= b | d >= e."),
+]
+
+
 def test_transform_expand_rewrites():
-    th = with_goal(SL, "x cup (x cup x) = x")
-    proof = prove(th, ProverLimits(max_seconds=30)).proof
+    for th in _REWRITING:
+        proof = prove(th, ProverLimits(max_given=10)).proof
+        assert any(op[0] == "rewrite" for s in proof.steps
+                   for op in s.justification)
+        exp = transform_proof(proof, "expand_rewrites")
+        assert not [op for s in exp.steps for op in s.justification
+                    if op[0] == "rewrite"], th.goals
+        assert verify_proof(th, exp) == (True, "ok"), th.goals
+        assert [s.id for s in exp.steps] \
+            == list(range(1, len(exp.steps) + 1))
+    # an xx between two rewrites becomes a step of its own
+    th = _theorem("c = a.  f(a) = d.  a != c | g(f(c)) = b.", "g(d) = b.")
+    proof = parse_proof("""1 g(d) = b # label(non_clause) # label(goal).  [goal].
+2 c = a.  [assumption].
+3 f(a) = d.  [assumption].
+4 a != c | g(f(c)) = b.  [assumption].
+5 g(d) != b.  [deny(1)].
+6 g(d) = b.  [copy(4),rewrite([2(0,2,l)]),xx(0),rewrite([2(0,1.1.1,l),3(0,1.1,l)])].
+7 $F.  [copy(5),rewrite([6(0,1,l)]),xx(0)].
+""", th)
     exp = transform_proof(proof, "expand_rewrites")
-    assert verify_proof(th, exp)[0]
-    for step in exp.steps:
-        for op in step.justification:
-            if op[0] == "rewrite":
-                assert len(op[1]) == 1
+    assert verify_proof(th, exp) == (True, "ok")
+    assert [s.justification for s in exp.steps[5:9]] == [
+        [("copy", 4)], [("para", 2, "l", 6, 0, (2,))],
+        [("copy", 7), ("xx", 0)], [("para", 2, "l", 8, 0, (1, 1, 1))]]
 
 
 def test_proof_text_roundtrip():
     th = with_goal(SL, "x cup (x cup x) = x")
-    proof = prove(th, ProverLimits(max_seconds=30)).proof
+    proof = prove(th, ProverLimits(max_given=10)).proof
     text = render_proof(proof, th)
     assert "$F" in text
     assert "[goal]" in text
@@ -335,14 +375,14 @@ def test_parse_proof_rejects_garbage():
 
 def test_determinism():
     th = with_goal(SL, "x cup (x cup x) = x")
-    a = prove(th, ProverLimits(max_seconds=30)).proof
-    b = prove(th, ProverLimits(max_seconds=30)).proof
+    a = prove(th, ProverLimits(max_given=10)).proof
+    b = prove(th, ProverLimits(max_given=10)).proof
     assert render_proof(a, th) == render_proof(b, th)
 
 
 def test_mine_patterns():
     th = with_goal(SL, "(x cup y) cup (x cup y) = y cup x")
-    proof = prove(th, ProverLimits(max_seconds=30)).proof
+    proof = prove(th, ProverLimits(max_given=10)).proof
     pats = mine_patterns(proof, min_count=2, min_size=3)
     assert all(count >= 2 for _, count in pats)
     assert any("cup" in str(pat) for pat, _ in pats)
@@ -359,7 +399,7 @@ def test_soundness_on_models():
 
     hoop = builtin_theory("hoop")
     th = with_goal(hoop, "x + (y ~ x) = y + (x ~ y)")
-    proof = prove(th, ProverLimits(max_seconds=30)).proof
+    proof = prove(th, ProverLimits(max_given=10)).proof
     models = list(enumerate_models(hoop, SearchOptions(3, upto_iso=True)))
     checked = 0
     for step in proof.steps:
@@ -589,7 +629,7 @@ def _reference_paramodulate(state, from_id, into_id):
     if not eqs:
         return []
     out = []
-    _, left, right = rename_apart(from_cl, 10 ** 6)[0][1]
+    _, left, right = rename_apart(from_cl)[0][1]
     for side, _, _ in eqs:
         lhs, rhs = (left, right) if side == "l" else (right, left)
         for li, (pol, atom) in enumerate(into_cl):
@@ -705,6 +745,24 @@ end_of_list.
 """)
     out = prove(th)
     assert out.status == "exhausted" and out.stats.given > 0
+
+
+def test_no_exhaustion_with_non_unit_equations():
+    # a theorem: c = a rewrites the assumption to the goal's two literals
+    # plus g(a) = b.  Paramodulation works from unit equations only, and
+    # the search runs out of clauses without a proof
+    th = parse_source("""
+formulas(assumptions).
+   c = a.
+   g(c) = b | g(a) = b | h(c) = d.
+end_of_list.
+formulas(goals).
+   g(a) = b | h(a) = d.
+end_of_list.
+""")
+    out = prove(th, ProverLimits(max_given=100))
+    assert (out.status, out.which) == ("limit", "incomplete")
+    assert out.stats.given < 100
 
 
 class _JumpingClock:

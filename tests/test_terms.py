@@ -101,11 +101,14 @@ def test_canonical_renaming():
 
 def test_rename_apart():
     c = (((True, ("=", plus(X, Y), Y)),))
-    r = rename_apart(c, 7)
+    r = rename_apart(c)
     used = set()
     for _, atom in r:
         used |= term_vars(atom[1]) | term_vars(atom[2])
-    assert used.isdisjoint({"x", "y"})
+    assert used == {"_x", "_y"}
+    # the parser reads an underscored name as a constant
+    from hooplab.syntax import Theory, parse_term_text
+    assert parse_term_text("_x", Theory()) == ("_x",)
 
 
 PREC = {"0": 0, "1": 1, "+": 2, "~": 3}
@@ -188,8 +191,11 @@ def test_canonical_instance_is_canonical_clause_of_the_instance(clause, s, t):
     b = unify(s, t)
     if b is None:
         b = {}
-    assert canonical_instance(clause, b) == \
-        canonical_clause(substitute_clause(clause, b))
+    inst = substitute_clause(clause, b)
+    # canonical_clause by its definition, apart from the shared walk
+    want = substitute_clause(inst, canonical_renaming(
+        [t for _, atom in inst for t in atom[1:]]))
+    assert canonical_instance(clause, b) == canonical_clause(inst) == want
 
 
 def test_clausify_equation():
@@ -214,6 +220,14 @@ def test_clausify_denied_goal_introduces_constants():
     (lit,) = cls[0]
     assert lit[0] is False
     assert not term_vars(lit[1][1])  # variables became Skolem constants
+
+
+def test_clausify_skolem_constants_by_first_occurrence():
+    # y >= x -> x = z: the denial is y >= x & x != z
+    f = ("imp", ("atom", (">=", Y, X)), ("atom", ("=", X, Z)))
+    c1, c2, c3 = ("c1",), ("c2",), ("c3",)
+    assert clausify(f, "denied_goal") == [((True, (">=", c1, c2)),),
+                                          ((False, ("=", c2, c3)),)]
 
 
 def test_clausify_skolem_names_skip_taken_symbols():
