@@ -255,11 +255,13 @@ def _lemmas_prove(name, args, out):
 
 
 def cmd_lemmas(args, out):
-    if args.prove:
+    if args.prove is not None:
         return _lemmas_prove(args.prove, args, out)
     if args.verify_chains:
         return _lemmas_verify_chains(out)
-    if args.check_models:
+    if args.check_models is not None:
+        if args.check_models < 1:
+            raise UsageError("--check-models size must be >= 1")
         return _lemmas_check_models(args.check_models, out)
     from . import chains
     for record in chains.lemma_corpus():

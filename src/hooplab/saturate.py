@@ -19,7 +19,9 @@ demodulation and back-simplification, in which a new demodulator
 simplifies again every live clause it rewrites, both use it.  Forward
 demodulation takes the pattern's variable bindings from the discrimination
 tree that found it, so it never matches the pattern a second time.
-Normal forms are memoized while the set of demodulators stays the same.
+Normal forms are memoized while the set of demodulators stays the same;
+the memo holds normal forms only, and the rewrite entries of a proof step
+come from the walk that rewrites the clause.
 
 Every stored clause is canonical: its variables are x, y, z, u, v, w, x1,
 ... in order of first occurrence.  Inferences work from per-clause data
@@ -108,9 +110,8 @@ class ProofStep:
     secondary:
       ("rewrite", [(demod_id, lit, path, side), ...]) | ("xx", lit)
     side is "l" or "r" (which side of the unit equation acted as left-hand
-    side); lit is a 0-based literal index; path is a tuple whose first entry
-    is the 1-based atom-argument index, the rest 1-based term-argument
-    indices.
+    side); lit is a 0-based literal index; path is the tuple indices from
+    the literal's atom down, as terms.subterm_at reads them.
     """
 
     def __init__(self, step_id, clause, justification, formula=None):
@@ -290,14 +291,14 @@ def _literal(clause, li):
 
 
 def _position(atom, path):
-    """(atom-argument index, 0-based term path, subterm) at a proof path."""
+    """The subterm of atom at a proof path."""
     t = atom
     for p in path:
         if t[0] == VAR or not 1 <= p < len(t):
             raise ProverError("path %s out of range"
                               % ".".join(map(str, path)))
         t = t[p]
-    return path[0], tuple(p - 1 for p in path[1:]), t
+    return t
 
 
 def _equation_step(clause, li, path, source, side, what, prec=None,
@@ -313,7 +314,7 @@ def _equation_step(clause, li, path, source, side, what, prec=None,
         raise ProverError("%s is not a positive unit equation" % what)
     lhs, rhs = eq if side == "l" else eq[::-1]
     pol, atom = _literal(clause, li)
-    ai, tpath, sub = _position(atom, path)
+    sub = _position(atom, path)
     if not para:
         b = match(lhs, sub)
     elif sub[0] == VAR:
@@ -327,9 +328,8 @@ def _equation_step(clause, li, path, source, side, what, prec=None,
     if prec is not None and not lpo_gt(sub, repl, prec):
         raise ProverError("rewrite with %s does not decrease the ordering"
                           % what)
-    new_atom = atom[:ai] + (replace_at(atom[ai], tpath, repl),) \
-        + atom[ai + 1:]
-    clause = clause[:li] + ((pol, new_atom),) + clause[li + 1:]
+    clause = clause[:li] + ((pol, replace_at(atom, path, repl)),) \
+        + clause[li + 1:]
     return _dedup(substitute_clause(clause, b)) if para else clause
 
 
@@ -533,18 +533,18 @@ def _path_keys(t):
     return [(path, sub[0]) for path, sub in _nonvar_subterms(t)]
 
 
-def _nonvar_subterms(t):
-    """(position, subterm) for every non-variable position of t, in
-    preorder (the order of terms.positions)."""
+def _nonvar_subterms(t, prefix=()):
+    """(path, subterm) for every non-variable position of t, each path
+    after prefix, in preorder (the order of terms.positions)."""
     out = []
-    stack = [((), t)]
+    stack = [(prefix, t)]
     while stack:
         path, u = stack.pop()
         if u[0] == VAR:
             continue
         out.append((path, u))
         for i in range(len(u) - 1, 0, -1):
-            stack.append((path + (i - 1,), u[i]))
+            stack.append((path + (i,), u[i]))
     return out
 
 
@@ -566,7 +566,6 @@ class _State:
             for cl in clausify(f, "assumption"))
         self.ids = count(1)
         self.steps = {}         # id -> ProofStep, every step ever made
-        self.weight = {}        # id -> clause weight
         self.feats = {}         # id -> frozenset of (polarity, predicate)
         # the live clauses: id -> their clause_ix values; active and
         # passive partition its keys
@@ -583,8 +582,8 @@ class _State:
         self.demod_ix = _DiscTree()
         self._demod_vals = {}
         self._root_memo = {}    # term -> (_rewrite_once result, _demod_seq)
-        # term -> (normal form, entries) under the current demodulators;
-        # cleared whenever one is added or retired
+        # term -> its normal form under the current demodulators; cleared
+        # whenever one is added or retired
         self._norm_memo = {}
         # live id -> (readings, into-sites by head symbol, all into-sites,
         # the clause renamed apart)
@@ -601,7 +600,6 @@ class _State:
     def _new_step(self, clause, justification):
         sid = next(self.ids)
         self.steps[sid] = ProofStep(sid, clause, justification)
-        self.weight[sid] = clause_weight(clause)
         self.feats[sid] = _clause_feats(clause)
         return sid
 
@@ -647,41 +645,32 @@ class _State:
         for li, (pol, atom) in enumerate(clause):
             new_atom = [atom[0]]
             for ai in range(1, len(atom)):
-                nf, entries = self._normalize(atom[ai])
-                for did, path, side in entries:
-                    rewrites.append(
-                        (did, li, (ai,) + tuple(p + 1 for p in path), side))
-                new_atom.append(nf)
+                new_atom.append(self._normalize(atom[ai], li, (ai,), rewrites))
             out.append((pol, tuple(new_atom)))
         return tuple(out), rewrites
 
-    def _normalize(self, t):
-        """Innermost normal form of t under the current demodulators,
-        with the rewrite entries (demod id, 0-based path, side) in
-        application order.  Memoized until the demodulators change."""
-        if t[0] == VAR:
-            return t, ()
-        got = self._norm_memo.get(t)
-        if got is not None:
-            return got
-        entries = []
+    def _normalize(self, t, li, path, rewrites):
+        """Innermost normal form of t, the subterm at literal li, path of a
+        clause, under the current demodulators; appends the rewrite entries
+        (demod id, li, path, side) to rewrites in application order.  A
+        term memoized as its own normal form returns at once; one that
+        rewrites is walked again for its entries."""
+        if t[0] == VAR or self._norm_memo.get(t) == t:
+            return t
         cur = t
         while cur[0] != VAR:
-            args = []
-            for i, a in enumerate(cur[1:]):
-                na, sub = self._normalize(a)
-                entries.extend((did, (i,) + p, side) for did, p, side in sub)
-                args.append(na)
-            cur = (cur[0],) + tuple(args)
+            args = [cur[0]]
+            for i in range(1, len(cur)):
+                args.append(self._normalize(cur[i], li, path + (i,), rewrites))
+            cur = tuple(args)
             hit = self._rewrite_once(cur)
             if hit is None:
                 break
             did, side, repl = hit
-            entries.append((did, (), side))
+            rewrites.append((did, li, path, side))
             cur = repl
-        entries = tuple(entries)
-        self._norm_memo[t] = (cur, entries)
-        return cur, entries
+        self._norm_memo[t] = cur
+        return cur
 
     def _rewrite_once(self, sub):
         """The first demodulator entry, in insertion order, that rewrites
@@ -784,7 +773,7 @@ class _State:
         self.stats.kept += 1
         self.keys[key] = sid
         self.passive.add(sid)
-        heapq.heappush(self._by_weight, (self.weight[sid], sid))
+        heapq.heappush(self._by_weight, (clause_weight(key), sid))
         heapq.heappush(self._by_age, sid)
         for sub in _clause_subterms(key):
             self.sub_ix.add(sub, sid)
@@ -909,11 +898,12 @@ class _State:
 
     def _para_sites(self, sid):
         """Clause sid's readings as a paramodulation source
-        (_equations_of); the sites (li, ai, path, subterm) it can be
-        paramodulated into, by head symbol and all together, each in
-        visiting order: literals, then atom arguments, then subterms in
-        preorder; and the clause renamed apart from every canonical
-        clause.  Cached while the clause lives."""
+        (_equations_of); the sites (li, path, subterm) it can be
+        paramodulated into, path from the literal's atom down, by head
+        symbol and all together, each in visiting order: literals, then
+        atom arguments, then subterms in preorder; and the clause renamed
+        apart from every canonical clause.  Cached while the clause
+        lives."""
         got = self._sites.get(sid)
         if got is None:
             clause = self.steps[sid].clause
@@ -927,8 +917,8 @@ class _State:
                 else:
                     sides = range(1, len(atom))
                 for ai in sides:
-                    for path, sub in _nonvar_subterms(atom[ai]):
-                        site = (li, ai, path, sub)
+                    for path, sub in _nonvar_subterms(atom[ai], (ai,)):
+                        site = (li, path, sub)
                         every.append(site)
                         by_head.setdefault(sub[0], []).append(site)
             got = self._sites[sid] = (self._equations_of(clause), by_head,
@@ -949,20 +939,18 @@ class _State:
         for side, _, _ in eqs:
             lhs, rhs = (left, right) if side == "l" else (right, left)
             sites = every if lhs[0] == VAR else by_head.get(lhs[0], ())
-            for li, ai, path, sub in sites:
+            for li, path, sub in sites:
                 if len(sub) != len(lhs) and lhs[0] != VAR:
                     continue    # unify would fail at the root
                 b = unify(lhs, sub)
                 if b is None:
                     continue
                 pol, atom = into_cl[li]
-                new_t = replace_at(atom[ai], path, rhs)
-                new_atom = atom[:ai] + (new_t,) + atom[ai + 1:]
                 new_cl = canonical_instance(
-                    into_cl[:li] + ((pol, new_atom),) + into_cl[li + 1:], b)
-                out.append((new_cl, [(
-                    "para", from_id, side, into_id, li,
-                    (ai,) + tuple(p + 1 for p in path))]))
+                    into_cl[:li] + ((pol, replace_at(atom, path, rhs)),)
+                    + into_cl[li + 1:], b)
+                out.append((new_cl, [("para", from_id, side, into_id, li,
+                                      path)]))
 
     def _resolve(self, id1, id2, out):
         feats2 = self.feats[id2]
@@ -1277,8 +1265,9 @@ def mine_patterns(proof: Proof, min_count: int = 2, min_size: int = 3):
 
 # Proof operations and their fields after the kind: d a cited step id and
 # l a 0-based literal index (non-negative integers), s the side of a unit
-# equation used as left-hand side (l or r), p a path of 1-based argument
-# indices.  rewrite has one field, a list of entries ID(LIT,PATH,SIDE).
+# equation used as left-hand side (l or r), p a path of tuple indices from
+# the atom down (terms.subterm_at).  rewrite has one field, a list of
+# entries ID(LIT,PATH,SIDE).
 _OP_FIELDS = {"goal": "", "assumption": "", "deny": "d", "copy": "d",
               "xx": "l", "para": "dsdlp", "resolve": "dldl",
               "factor": "dll", "rewrite": "w"}

@@ -61,24 +61,28 @@ def subterms(t):
 
 
 def subterm_at(t, path):
+    """The subterm at a path: the sequence of tuple indices from t down, so
+    argument i of a node is index i (the atom's arguments, for an atom)."""
     for i in path:
-        t = t[i + 1]
+        t = t[i]
     return t
 
 
 def replace_at(t, path, s):
+    """t with the subterm at path (as subterm_at reads it) replaced by s."""
     if not path:
         return s
     i = path[0]
-    return t[: i + 1] + (replace_at(t[i + 1], path[1:], s),) + t[i + 2 :]
+    return t[:i] + (replace_at(t[i], path[1:], s),) + t[i + 1:]
 
 
 def positions(t, prefix=()):
-    """All positions (paths) in a term, root first."""
+    """All paths in t (as subterm_at reads them), each after prefix, root
+    first, then preorder."""
     yield prefix
     if t[0] != VAR:
-        for i, a in enumerate(t[1:]):
-            yield from positions(a, prefix + (i,))
+        for i in range(1, len(t)):
+            yield from positions(t[i], prefix + (i,))
 
 
 def substitute(t, binding):

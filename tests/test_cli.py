@@ -2,6 +2,7 @@
 
 import io
 import os
+import resource
 import subprocess
 import sys
 
@@ -99,6 +100,27 @@ def test_deeply_nested_input_is_a_parse_error(tmp_path, capsys):
     assert (code, out) == (3, "")
     assert capsys.readouterr().err == \
         "error: parse error: input nested too deeply\n"
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+def test_deep_goal_proved_in_bounded_memory(tmp_path):
+    """The normal-form memo keeps no rewrite entries, so the 200-deep goal
+    is proved under a 512 MB address-space cap on the child process."""
+    deep = tmp_path / "deep.gl"
+    deep.write_text("formulas(goals).\n%sx%s = x.\nend_of_list.\n"
+                    % ("(" * 200, " + 0)" * 200))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run(
+        [sys.executable, "-m", "hooplab.cli", "prove", "-f", "hoop.ax",
+         str(deep), "--max-given", "20"],
+        env=env, capture_output=True, text=True, timeout=300,
+        preexec_fn=_limit_address_space)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[0] == "THEOREM PROVED"
 
 
 def test_enumerate_golden():
@@ -323,6 +345,11 @@ def test_usage_errors():
                   ("--verify-chains", "--prove", "AA"),
                   ("--check-models", "4", "--prove", "AA")):
         code, out = run("lemmas", *modes)
+        assert (code, out) == (3, "")
+    # each mode is taken when given, and a model size below 1 is refused
+    for mode in (("--check-models", "0"), ("--check-models", "-2"),
+                 ("--prove", "")):
+        code, out = run("lemmas", *mode)
         assert (code, out) == (3, "")
 
 

@@ -619,6 +619,17 @@ def test_forward_subsumption_agrees_with_brute_force(pair):
     assert state._forward_subsumed(d) == _brute_subsumes(c, d)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_hoop_literals.map(lambda lit: lit[1]))
+def test_proof_paths_are_term_paths(atom):
+    """A proof reads a path as terms.subterm_at does, and replace_at puts
+    back what subterm_at reads."""
+    for p in positions(atom):
+        if p:
+            assert saturate._position(atom, p) == subterm_at(atom, p)
+            assert replace_at(atom, p, subterm_at(atom, p)) == atom
+
+
 def _reference_paramodulate(state, from_id, into_id):
     """Paramodulation as it was before per-clause sites: every reading of
     the from-clause against every non-variable subterm of the into-clause's
@@ -652,7 +663,7 @@ def _reference_paramodulate(state, from_id, into_id):
                     out.append((substitute_clause(
                         into_cl[:li] + ((pol, new_atom),) + into_cl[li + 1:],
                         b), [("para", from_id, side, into_id, li,
-                              (ai,) + tuple(p + 1 for p in path))]))
+                              (ai,) + path)]))
     return out
 
 

@@ -45,7 +45,7 @@ def test_subterms_and_positions():
         s = subterm_at(t, p)
         assert replace_at(t, p, s) == t
     assert subterm_at(t, ()) == t
-    assert subterm_at(t, (1, 0)) == Y
+    assert subterm_at(t, (2, 1)) == Y
 
 
 def test_substitute_and_compose():
