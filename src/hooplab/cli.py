@@ -186,9 +186,9 @@ def _parse_spec(spec):
 
 def cmd_construct(args, out):
     from . import hoops
-    if args.ln:
+    if args.ln is not None:
         m = hoops.lukasiewicz(args.ln)
-    elif args.osum:
+    elif args.osum is not None:
         m = hoops.ordinal_sum_many(hoops.lukasiewicz(k)
                                    for k in _parse_spec(args.osum))
     else:
@@ -227,6 +227,8 @@ def _lemmas_check_models(size, out):
     from . import chains, hoops, search
     theory = hoops.builtin_theory("hoop")
     corpus = chains.lemma_corpus()
+    # LemmaRecord.statement parses on each read
+    statements = [(record.name, record.statement) for record in corpus]
     bad = 0
     checked = 0
     for n in range(1, size + 1):
@@ -234,11 +236,11 @@ def _lemmas_check_models(size, out):
         for m in search.enumerate_models(theory, opts):
             dm = hoops.derived_tables(m)
             checked += 1
-            for record in corpus:
-                if not dm.satisfies(record.statement):
+            for name, statement in statements:
+                if not dm.satisfies(statement):
                     bad += 1
                     out.write("# %s FAILS in a hoop of size %d\n"
-                              % (record.name, n))
+                              % (name, n))
     out.write("corpus statements: %d lemmas checked in %d hoops "
               "(sizes 1..%d), %d failures\n"
               % (len(corpus), checked, size, bad))

@@ -15,7 +15,9 @@ The constants take labels 0..k-1 in declaration order; colour refinement
 splits the other elements into ordered classes by their rows and columns in
 every table, and each class takes the next block of labels.  The key is
 the least encoding over the relabelings that keep to those blocks, so it
-costs the product of the class sizes' factorials, not n!.
+costs the product of the class sizes' factorials, not n!.  The key and
+FiniteModel.permuted relabel a flat table the same way, through the list
+of its cells in the new labels' row-major order (_relabelled_cells).
 """
 
 from __future__ import annotations
@@ -128,15 +130,19 @@ class FiniteModel:
 
     def permuted(self, perm):
         """Image of the model under relabeling i -> perm[i]."""
+        n = self.size
         inv = _inverse(perm)
-        consts = {k: perm[v] for k, v in self.constants.items()}
-        funs = {}
-        for k, t in self.fun_tables.items():
-            funs[k] = _map_table(t, inv, perm, _arity(t), self.size)
-        rels = {}
-        for k, t in self.rel_tables.items():
-            rels[k] = _map_table(t, inv, None, _arity(t), self.size)
-        return FiniteModel(self.size, consts, funs, rels)
+
+        def moved(t):
+            # the entries of t in row-major order of the new labels
+            flat = _flat(t)
+            return [flat[j] for j in _relabelled_cells(n, inv, _arity(t))]
+        return FiniteModel(
+            n, {k: perm[v] for k, v in self.constants.items()},
+            {k: unflatten([perm[v] for v in moved(t)], _arity(t), n)
+             for k, t in self.fun_tables.items()},
+            {k: unflatten(moved(t), _arity(t), n)
+             for k, t in self.rel_tables.items()})
 
     def canonical_form(self):
         """The relabeled copy whose encoding is the canonical key;
@@ -195,14 +201,7 @@ def canonical_key(n, const_vals, funs, rels):
                 perm[e] = label
                 inv[label] = e
                 label += 1
-        # cells[a]: the old flat index of each new cell of an a-ary
-        # table, in row-major order of the new labels
-        cells = {}
-        for a in arities:
-            idx = [0]
-            for _ in range(a):
-                idx = [j * n + i for j in idx for i in inv]
-            cells[a] = idx
+        cells = {a: _relabelled_cells(n, inv, a) for a in arities}
         enc = [perm[v] for v in const_vals]
         for flat, a in funs:
             enc.extend([perm[flat[j]] for j in cells[a]])
@@ -315,17 +314,14 @@ def _inverse(perm):
     return inv
 
 
-def _map_table(t, inv, out_map, arity, n):
-    def get(idx):
-        v = t
-        for i in idx:
-            v = v[inv[i]]
-        return out_map[v] if out_map is not None else v
-    def build(prefix, depth):
-        if depth == arity:
-            return get(prefix)
-        return tuple(build(prefix + (i,), depth + 1) for i in range(n))
-    return build((), 0)
+def _relabelled_cells(n, inv, arity):
+    """The old flat index of each cell of an arity-ary table over
+    {0..n-1} relabelled by i -> perm[i], in row-major order of the new
+    labels; inv is the inverse of perm."""
+    idx = [0]
+    for _ in range(arity):
+        idx = [j * n + i for j in idx for i in inv]
+    return idx
 
 
 def _positions(names):

@@ -21,8 +21,10 @@ unknown cell: it is tried with each value left in that cell's domain, and
 the values under which it fails are removed (domain elimination, which also
 does what SEM's unit forcing does).  An emptied domain is a conflict, and a
 domain left with one value is assigned at once.  The root is one such
-propagation over every instance.  Assignments, watches and domains are
-logged per decision level and undone on backtrack.
+propagation over every instance.  The search stack holds one frame per
+decision, on the next cell in the fixed order that propagation has not
+assigned; the assignments, watches and domains a decision's propagation
+makes are logged in its frame and undone on backtrack.
 
 Up to isomorphism, a decision tries only the elements already mentioned by
 the assigned cells (their arguments along the fixed order and their values)
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 import time
 from functools import partial
-from itertools import product
+from itertools import accumulate, product
 
 from .model import FiniteModel, canonical_key, unflatten
 from .terms import VAR, clausify, formula_symbols, term_vars
@@ -113,46 +115,28 @@ class _Searcher:
         funs.sort(key=lambda sa: sa[1])  # constants, unary, binary, ...
         self.fun_syms, self.rel_syms = funs, rels
 
-        # fixed cell order; base[name] = first cell id of that table
+        # fixed cell order; base[name] = first cell id of that table.
+        # Concentric as in Mace4: by largest argument (-1 for constants)
+        # before position, so the elements in use grow one at a time;
+        # within that, same-arity tables interleaved position by position,
+        # so axioms coupling two operations fail early; searched relations
+        # still come last
         self.base = {}
         self.is_rel_cell = []
-        for s, a in funs + rels:
-            self.base[s] = len(self.is_rel_cell)
-            self.is_rel_cell += [(s, a) in rels] * self.n ** a
-        self.cell_count = len(self.is_rel_cell)
-
-        # digits[cell]: the largest argument of the cell (-1 for constants)
-        digits = [0] * self.cell_count
-        for s, a in funs + rels:
-            for i in range(self.n ** a):
-                digits_max = -1
-                j = i
-                for _ in range(a):
-                    j, d = divmod(j, self.n)
-                    digits_max = max(digits_max, d)
-                digits[self.base[s] + i] = digits_max
-
-        # assignment order, concentric as in Mace4: by largest argument
-        # before position, so the elements in use grow one at a time; within
-        # that, same-arity tables interleaved position by position, so
-        # axioms coupling two operations fail early; searched relations
-        # still come last
         keys = []
         for kind, syms in enumerate((funs, rels)):
             for seq, (s, a) in enumerate(syms):
-                for i in range(self.n ** a):
-                    cell = self.base[s] + i
-                    keys.append(((kind, a, digits[cell], i, seq), cell))
+                self.base[s] = len(self.is_rel_cell)
+                for i, args in enumerate(product(range(self.n), repeat=a)):
+                    keys.append((kind, a, max(args, default=-1), i, seq,
+                                 len(self.is_rel_cell)))
+                    self.is_rel_cell.append(kind == 1)
+        self.cell_count = len(self.is_rel_cell)
         keys.sort()
-        self.order = [cell for _, cell in keys]
-
+        self.order = [key[-1] for key in keys]
         # prefix max of argument indices along the order, for least-number
         # pruning
-        self.smax = []
-        acc = -1
-        for cell in self.order:
-            acc = max(acc, digits[cell])
-            self.smax.append(acc)
+        self.smax = list(accumulate((key[2] for key in keys), max))
 
         # split assumptions into propagated clauses and leaf formulas
         self.leaf_formulas = []
@@ -289,65 +273,57 @@ class _Searcher:
 
         deadline = (time.monotonic() + self.opts.max_seconds
                     if self.opts.max_seconds else None)
-        # per decision level: trail[pos] = cells assigned by that decision
-        # (the decision cell plus every cell propagation assigned),
-        # wlog[pos] = watch-list additions, dtrail[pos] = (cell, old domain)
-        # for every domain narrowed; all undone LIFO on backtrack.
-        # vmax[pos]: largest element value assigned up to and including pos.
-        trail = [[] for _ in range(self.cell_count)]
-        wlog = [[] for _ in range(self.cell_count)]
-        dtrail = [[] for _ in range(self.cell_count)]
-        vmax = [-1] * self.cell_count
         order = self.order
         dom = self.dom
+        # one frame per decision: (pos, values left to try, vmax before it,
+        # trail, wlog, dtrail).  vmax is the largest element value assigned
+        # so far; trail holds the cells the frame's current value assigned
+        # (the decision cell plus every cell propagation assigned), wlog its
+        # watch-list additions and dtrail (cell, old domain) for every
+        # domain it narrowed, all undone LIFO before the next value.
         stack = []
 
-        def push(pos):
-            cell = order[pos]
-            if vals[cell] is not None:
-                # already assigned by propagation at an earlier level
-                stack.append((pos, iter((vals[cell],)), True))
-            else:
-                before = vmax[pos - 1] if pos else root_vmax
-                stack.append((pos, iter(self._domain(pos, before)), False))
+        def push(pos, vm):
+            """Open a frame on the first cell from pos on that has no
+            value; False when there is none, that is at a leaf."""
+            while pos < self.cell_count and vals[order[pos]] is not None:
+                pos += 1
+            if pos == self.cell_count:
+                return False
+            stack.append((pos, iter(self._domain(pos, vm)), vm, [], [], []))
+            return True
 
-        push(0)
+        if not push(0, root_vmax):
+            stats.leaves += 1
+            yield vals
         ticks = 0
         while stack:
             ticks += 1
             if deadline is not None and not ticks & 1023 \
                     and time.monotonic() > deadline:
                 raise SearchLimit("max_seconds", stats)
-            pos, it, noop = stack[-1]
-            for b in reversed(wlog[pos]):
+            pos, it, before, trail, wlog, dtrail = stack[-1]
+            for b in reversed(wlog):
                 watch[b].pop()
-            wlog[pos].clear()
-            for c in reversed(trail[pos]):
+            wlog.clear()
+            for c in reversed(trail):
                 vals[c] = None
-            trail[pos].clear()
-            for c, d in reversed(dtrail[pos]):
+            trail.clear()
+            for c, d in reversed(dtrail):
                 dom[c] = d
-            dtrail[pos].clear()
+            dtrail.clear()
             v = next(it, None)
             if v is None:
                 stack.pop()
                 continue
-            before = vmax[pos - 1] if pos else root_vmax
-            if noop:
-                vmax[pos] = before
-            else:
-                stats.decisions += 1
-                ok, vm = self._propagate(order[pos], v, vals, watch,
-                                         wlog[pos], trail[pos], dtrail[pos])
-                vmax[pos] = max(before, vm)
-                if not ok:
-                    stats.conflicts += 1
-                    continue
-            if pos + 1 == self.cell_count:
+            stats.decisions += 1
+            ok, vm = self._propagate(order[pos], v, vals, watch, wlog, trail,
+                                     dtrail)
+            if not ok:
+                stats.conflicts += 1
+            elif not push(pos + 1, max(before, vm)):
                 stats.leaves += 1
                 yield vals
-            else:
-                push(pos + 1)
         # loop leaves root-assigned vals set; harmless, search is over
 
     def _domain(self, pos, vmax_before):

@@ -564,18 +564,23 @@ def render_model(m) -> str:
     for name in m.constant_names():
         blocks.append(" %s : %s\n" % (name, m.constants[name]))
     for name in m.function_names():
-        table = m.fun_tables[name]
-        blocks.append(_render_table(name, table, n, cell))
+        blocks.append(_render_table(name, m.fun_tables[name], n, cell))
     for name in m.relation_names():
-        table = m.rel_tables[name]
-        as_int = tuple(tuple(int(v) for v in row) for row in table)
-        blocks.append(_render_table(name, as_int, n, cell))
+        blocks.append(_render_table(name, m.rel_tables[name], n,
+                                    lambda v: cell(int(v))))
     return "\n".join(blocks)
 
 
 def _render_table(name, table, n, cell):
+    """A binary table as rows under a column header; a table of any other
+    arity as its entries on one line, in the compact format's row-major
+    order."""
     lines = [" %s :" % name]
-    if isinstance(table[0], tuple):
+    flat, arity = [table], 0
+    while isinstance(flat[0], tuple):
+        flat = [x for row in flat for x in row]
+        arity += 1
+    if arity == 2:
         header = "    %s | %s" % (" " * len(cell(0)),
                                   " ".join(cell(j) for j in range(n)))
         lines.append(header)
@@ -585,5 +590,5 @@ def _render_table(name, table, n, cell):
             lines.append("    %s | %s" % (cell(i),
                                           " ".join(cell(v) for v in table[i])))
     else:
-        lines.append("      %s" % " ".join(cell(v) for v in table))
+        lines.append("      %s" % " ".join(cell(v) for v in flat))
     return "\n".join(lines) + "\n"

@@ -150,6 +150,24 @@ def test_enumerate_limit_says_how_far_it_got():
     assert decisions > 0 and leaves >= 2
 
 
+def test_tables_format_prints_wide_tables_row_major(tmp_path):
+    # a ternary table is one line of entries in the compact format's order
+    theory = tmp_path / "g.in"
+    theory.write_text("formulas(assumptions).\n"
+                      "   g(x, y, z) = g(y, x, z).\n"
+                      "end_of_list.\n")
+    outs = [run("enumerate", "--theory", str(theory), "--size", "2",
+                "--format", fmt)
+            for fmt in ("tables", "compact")]
+    assert [code for code, _ in outs] == [0, 0]
+    tables = [line.split() for line in outs[0][1].splitlines()
+              if line.startswith("      ")]
+    compact = [line.split(" = ")[1].split(",")
+               for line in outs[1][1].splitlines() if "fun/3 g" in line]
+    assert len(tables) == len(compact) == 64
+    assert tables == compact
+
+
 def test_verify_roundtrip(tmp_path):
     proof = tmp_path / "p.txt"
     code, _ = run("prove", "-f", data("semilattice.ax"), data("sl-pr1.gl"),
@@ -350,6 +368,10 @@ def test_usage_errors():
     for mode in (("--check-models", "0"), ("--check-models", "-2"),
                  ("--prove", "")):
         code, out = run("lemmas", *mode)
+        assert (code, out) == (3, "")
+    # so is each construct source, also when it is 0 or empty
+    for source in (("--ln", "0"), ("--osum", ""), ("--product", "")):
+        code, out = run("construct", *source)
         assert (code, out) == (3, "")
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hooplab.hoops import builtin_theory, derived_tables, lukasiewicz
 from hooplab.model import (
     FiniteModel, ModelError, deserialize_model, isomorphic, serialize_model,
+    unflatten,
 )
 from hooplab.search import SearchOptions, enumerate_models
 from hooplab.syntax import Theory, parse_formula_text, parse_source
@@ -175,6 +176,49 @@ def test_isomorphic_finds_a_relabeling(mp):
     q = isomorphic(m, m.permuted(p))
     assert q is not None
     assert m.permuted(q) == m.permuted(p)
+
+
+@st.composite
+def wide_model_and_perm(draw):
+    """A model of size <= 4 with a constant, a unary g, a binary f, a
+    ternary h and a binary relation r, and a relabeling of its carrier."""
+    n = draw(st.integers(1, 4))
+
+    def table(arity, cell):
+        return unflatten(draw(st.lists(cell, min_size=n ** arity,
+                                       max_size=n ** arity)), arity, n)
+    elem = st.integers(0, n - 1)
+    m = FiniteModel(n, {"c": draw(elem)},
+                    {"g": table(1, elem), "f": table(2, elem),
+                     "h": table(3, elem)},
+                    {"r": table(2, st.booleans())})
+    return m, draw(st.permutations(range(n)))
+
+
+def _at(table, args):
+    for a in args:
+        table = table[a]
+    return table
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_model_and_perm())
+def test_permuted_against_its_definition(mp):
+    """m.permuted(p) is the image of m under i -> p[i]: c' = p[c],
+    f'(p[a], ...) = p[f(a, ...)] and r'(p[a], p[b]) = r(a, b); and the
+    relabeling canonical_labeling gives takes m to its key."""
+    m, p = mp
+    n = m.size
+    q = m.permuted(p)
+    assert q.constants == {"c": p[m.constants["c"]]}
+    for name, arity in (("g", 1), ("f", 2), ("h", 3)):
+        for args in product(range(n), repeat=arity):
+            assert _at(q.fun_tables[name], [p[a] for a in args]) == \
+                p[_at(m.fun_tables[name], args)]
+    for a, b in product(range(n), repeat=2):
+        assert q.rel_tables["r"][p[a]][p[b]] == m.rel_tables["r"][a][b]
+    key, perm = m.canonical_labeling()
+    assert m.permuted(perm).encode() == key
 
 
 def _brute_key(m):

@@ -136,6 +136,8 @@ def test_hoops_of_size_6():
     ("semilattice", 5, True, (2183, 487, 17407, 1065, 1050, 0)),
     ("pocrim", 4, True, (640, 403, 753, 39, 32, 0)),
     ("hoop", 4, False, (2252, 1443, 5314, 108, 0, 0)),
+    ("hoop", 1, True, (0, 0, 0, 1, 0, 0)),
+    ("pocrim", 1, True, (0, 0, 1, 1, 0, 0)),
 ])
 def test_search_is_pinned(name, size, upto_iso, pinned):
     """The search these theories take, in SearchStats counts (decisions,
