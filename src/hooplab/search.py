@@ -26,13 +26,16 @@ decision, on the next cell in the fixed order that propagation has not
 assigned; the assignments, watches and domains a decision's propagation
 makes are logged in its frame and undone on backtrack.
 
-Up to isomorphism, a decision tries only the elements already mentioned by
-the assigned cells (their arguments along the fixed order and their values)
-and the first fresh one (least-number heuristic).  This is sound: the fresh
-elements are interchangeable under everything assigned so far, including
-every value removed from a domain, since a value is removed only when no
-model extends the assignment with it.  So if the first fresh value has no
-model, or was removed, no fresh value has one.
+Up to isomorphism, a decision tries only the elements that the decisions
+mention (the decided cells' arguments and the values decided for function
+cells, not what propagation assigned), the arguments of the cell being
+decided, and the first fresh element (least-number heuristic).  This is
+sound: propagation only assigns or removes values that every model
+extending the decisions agrees with, so swapping two fresh elements fixes
+the decisions and the cell being decided and maps the models extending them
+to isomorphic models extending them.  So if the first fresh value has no
+model, or was removed, no fresh value has one.  The bound does not depend
+on the cell order.
 
 Goals put the search in counterexample mode: emitted models must falsify at
 least one goal.  Functions and relations that an assumption defines (see
@@ -51,7 +54,7 @@ from __future__ import annotations
 
 import time
 from functools import partial
-from itertools import accumulate, product
+from itertools import product
 
 from .model import FiniteModel, canonical_key, unflatten
 from .terms import VAR, clausify, formula_symbols, term_vars
@@ -134,9 +137,9 @@ class _Searcher:
         self.cell_count = len(self.is_rel_cell)
         keys.sort()
         self.order = [key[-1] for key in keys]
-        # prefix max of argument indices along the order, for least-number
+        # largest argument of each cell along the order, for least-number
         # pruning
-        self.smax = list(accumulate((key[2] for key in keys), max))
+        self.arg_max = [key[2] for key in keys]
 
         # split assumptions into propagated clauses and leaf formulas
         self.leaf_formulas = []
@@ -267,33 +270,38 @@ class _Searcher:
 
         # the root pass checks every instance once; what it assigns and
         # removes is never undone
-        ok, root_vmax = self._propagate(None, None, vals, watch, [], [], [])
-        if not ok:
+        if not self._propagate(None, None, vals, watch, [], [], []):
             return
 
         deadline = (time.monotonic() + self.opts.max_seconds
                     if self.opts.max_seconds else None)
         order = self.order
         dom = self.dom
-        # one frame per decision: (pos, values left to try, vmax before it,
-        # trail, wlog, dtrail).  vmax is the largest element value assigned
-        # so far; trail holds the cells the frame's current value assigned
-        # (the decision cell plus every cell propagation assigned), wlog its
-        # watch-list additions and dtrail (cell, old domain) for every
-        # domain it narrowed, all undone LIFO before the next value.
+        is_rel = self.is_rel_cell
+        # one frame per decision: (pos, values left to try, mentioned,
+        # trail, wlog, dtrail).  mentioned is the largest element that the
+        # decisions before it and the cell's own arguments mention, which
+        # bounds the values tried (what propagation assigned does not count,
+        # see the module docstring); trail holds the cells the frame's
+        # current value assigned (the decision cell plus every cell
+        # propagation assigned), wlog its watch-list additions and dtrail
+        # (cell, old domain) for every domain it narrowed, all undone LIFO
+        # before the next value.
         stack = []
 
-        def push(pos, vm):
+        def push(pos, mentioned):
             """Open a frame on the first cell from pos on that has no
             value; False when there is none, that is at a leaf."""
             while pos < self.cell_count and vals[order[pos]] is not None:
                 pos += 1
             if pos == self.cell_count:
                 return False
-            stack.append((pos, iter(self._domain(pos, vm)), vm, [], [], []))
+            mentioned = max(mentioned, self.arg_max[pos])
+            stack.append((pos, iter(self._domain(order[pos], mentioned)),
+                          mentioned, [], [], []))
             return True
 
-        if not push(0, root_vmax):
+        if not push(0, -1):
             stats.leaves += 1
             yield vals
         ticks = 0
@@ -302,7 +310,7 @@ class _Searcher:
             if deadline is not None and not ticks & 1023 \
                     and time.monotonic() > deadline:
                 raise SearchLimit("max_seconds", stats)
-            pos, it, before, trail, wlog, dtrail = stack[-1]
+            pos, it, mentioned, trail, wlog, dtrail = stack[-1]
             for b in reversed(wlog):
                 watch[b].pop()
             wlog.clear()
@@ -317,25 +325,24 @@ class _Searcher:
                 stack.pop()
                 continue
             stats.decisions += 1
-            ok, vm = self._propagate(order[pos], v, vals, watch, wlog, trail,
-                                     dtrail)
-            if not ok:
+            cell = order[pos]
+            if not self._propagate(cell, v, vals, watch, wlog, trail, dtrail):
                 stats.conflicts += 1
-            elif not push(pos + 1, max(before, vm)):
+            elif not push(pos + 1,
+                          mentioned if is_rel[cell] else max(mentioned, v)):
                 stats.leaves += 1
                 yield vals
         # loop leaves root-assigned vals set; harmless, search is over
 
-    def _domain(self, pos, vmax_before):
-        cell = self.order[pos]
+    def _domain(self, cell, mentioned):
         d = self.dom[cell]
         top = d.bit_length()
         if self.opts.upto_iso and not self.is_rel_cell[cell]:
-            # least-number heuristic: elements beyond the largest one
-            # mentioned so far are interchangeable, so trying the first
-            # fresh one is enough; sound up to isomorphism, also when the
-            # domain has lost that one (then every fresh one has no model)
-            top = min(top, max(vmax_before, self.smax[pos]) + 2)
+            # least-number heuristic: the elements above the largest one
+            # mentioned are interchangeable, so trying the first of them
+            # is enough; sound up to isomorphism, also when the domain has
+            # lost that one (then none of them has a model)
+            top = min(top, mentioned + 2)
         return [v for v in range(top) if d >> v & 1]
 
     def _propagate(self, cell, value, vals, watch, wlog, trail, dtrail):
@@ -348,10 +355,9 @@ class _Searcher:
         domain, and the values under which it fails are removed.  An
         emptied domain fails at once; a domain left with one value is
         assigned (possibly out of cell order) and propagated in turn.
-        Returns (ok, vmax) where vmax is the largest element assigned to a
-        function cell here; all changes are logged for backtracking."""
+        Returns False on a conflict; all changes are logged for
+        backtracking."""
         checkers = self.checkers
-        is_rel = self.is_rel_cell
         dom = self.dom
         stats = self.stats
         # a queued cell keeps its place: a trial value can send an
@@ -359,7 +365,6 @@ class _Searcher:
         # on the order in which cells are assigned
         queue = [(cell, value)]
         queued = {cell}
-        new_vmax = -1
         while queue:
             c0, v0 = queue.pop()
             if c0 is None:
@@ -367,14 +372,12 @@ class _Searcher:
             else:
                 vals[c0] = v0
                 trail.append(c0)
-                if not is_rel[c0] and v0 > new_vmax:
-                    new_vmax = v0
                 instances = watch[c0]
             for idx in instances:
                 chk = checkers[idx]
                 res = chk(vals)
                 if res == -1:
-                    return False, new_vmax
+                    return False
                 if res == -2:
                     continue
                 if res >= 0:
@@ -396,13 +399,13 @@ class _Searcher:
                 vals[c] = None
                 if left != old:
                     if not left:
-                        return False, new_vmax
+                        return False
                     dtrail.append((c, old))
                     dom[c] = left
                 if not left & (left - 1) and c not in queued:
                     queued.add(c)
                     queue.append((c, left.bit_length() - 1))
-        return True, new_vmax
+        return True
 
     def _key(self, vals):
         """The canonical key of _searched_model(vals), read from the

@@ -371,9 +371,14 @@ class _Parser:
         return self.parse_atom()
 
     def parse_atom(self):
+        """t1 REL t2 for REL in RELOPS, or a predicate atom: a term that is
+        not a variable and that no relational operator follows, like p(x)
+        or r(x, y, z)."""
         lhs = self.parse_term()
         kind, val, line, col = self.peek()
         if val not in self.RELOPS:
+            if lhs[0] != VAR:
+                return ("atom", lhs)
             self.error("expected one of %s" % (", ".join(self.RELOPS)))
         self.next()
         rhs = self.parse_term()
@@ -513,11 +518,10 @@ def render_formula(f, theory: Theory, parent_prec=10**9) -> str:
     tag = f[0]
     if tag == "atom":
         atom = f[1]
-        if atom[0] == "=":
-            return "%s = %s" % (render_term(atom[1], theory),
-                                render_term(atom[2], theory))
-        return "%s %s %s" % (render_term(atom[1], theory), atom[0],
-                             render_term(atom[2], theory))
+        if atom[0] in ("=", ">="):
+            return "%s %s %s" % (render_term(atom[1], theory), atom[0],
+                                 render_term(atom[2], theory))
+        return render_term(atom, theory)  # a predicate atom, p(x)
     if tag == "not":
         inner = f[1]
         if inner[0] == "atom" and inner[1][0] == "=":

@@ -151,8 +151,8 @@ def test_linear_hoop_counts():
     t0 = time.time()
     linear = builtin_theory("hoop_linear")
     counts = [count_models(linear, n, upto_iso=True)
-              for n in (2, 3, 4, 5, 6)]
-    assert counts == [1, 2, 4, 8, 16]
+              for n in (2, 3, 4, 5, 6, 7)]
+    assert counts == [1, 2, 4, 8, 16, 32]
     assert time.time() - t0 < 600
 
 

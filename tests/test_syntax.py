@@ -67,10 +67,30 @@ def test_formula_connectives_and_relations():
             == ("atom", (">=", ("V", "y"), ("V", "x"))))
 
 
+def test_predicate_atoms():
+    # a term that is not a variable and that no relational operator
+    # follows is a predicate atom, typed as a relation
+    x, y, z = ("V", "x"), ("V", "y"), ("V", "z")
+    th = parse_source("formulas(assumptions).\n p(x) | -p(x).\n"
+                      " r(x,y,z) -> r(y,x,z).\n q.\nend_of_list.")
+    assert th.assumptions == [
+        ("or", ("atom", ("p", x)), ("not", ("atom", ("p", x)))),
+        ("imp", ("atom", ("r", x, y, z)), ("atom", ("r", y, x, z))),
+        ("atom", ("q",))]
+    assert th.symbols() == {"p": (1, "relation"), "r": (3, "relation"),
+                            "q": (0, "relation")}
+    assert parse_source(render_theory(th)) == th
+    # a variable is not an atom
+    for text in ("x", "x | p(x)", "-y"):
+        with pytest.raises(ParseError):
+            parse_formula_text(text, th)
+
+
 def test_render_formula_roundtrip():
     th = parse_source(SEMILATTICE)
     for text in ["x cup y = y cup x", "x >= y <-> x cup y = x",
-                 "x != y | x = y", "x = y -> y = x"]:
+                 "x != y | x = y", "x = y -> y = x", "p(x) | -p(x)",
+                 "r(x, y, z) -> r(y, x, z)", "q", "-(q) & p(a cup x)"]:
         f = parse_formula_text(text, th)
         assert parse_formula_text(render_formula(f, th), th) == f
 
@@ -80,7 +100,9 @@ _TERMS = st.recursive(
     lambda sub: st.tuples(st.just("cup"), sub, sub), max_leaves=3)
 _FORMULAS = st.recursive(
     st.tuples(st.just("atom"),
-              st.tuples(st.sampled_from(["=", ">="]), _TERMS, _TERMS)),
+              st.tuples(st.sampled_from(["=", ">="]), _TERMS, _TERMS)
+              | st.tuples(st.just("p"), _TERMS)
+              | st.tuples(st.just("r"), _TERMS, _TERMS, _TERMS)),
     lambda sub: (st.tuples(st.just("not"), sub)
                  | st.tuples(st.sampled_from(["and", "or", "imp", "iff"]),
                              sub, sub)),
