@@ -145,13 +145,18 @@ def cmd_prove(args, out):
     return code
 
 
+def _load_proof(args, theory):
+    from . import saturate
+    try:
+        return saturate.parse_proof(_read_input(args.proof), theory)
+    except (saturate.ProverError, syntax.ParseError) as e:
+        raise UsageError("unreadable proof: %s" % e)
+
+
 def cmd_verify(args, out):
     from . import saturate
     theory = _load_theory(args.files)
-    try:
-        proof = saturate.parse_proof(_read_input(args.proof), theory)
-    except (saturate.ProverError, syntax.ParseError) as e:
-        raise UsageError("unreadable proof: %s" % e)
+    proof = _load_proof(args, theory)
     ok, report = saturate.verify_proof(theory, proof)
     if ok:
         out.write("PROOF VERIFIED\n")
@@ -164,10 +169,7 @@ def cmd_verify(args, out):
 def cmd_mine(args, out):
     from . import saturate
     theory = _load_theory(args.files)
-    try:
-        proof = saturate.parse_proof(_read_input(args.proof), theory)
-    except (saturate.ProverError, syntax.ParseError) as e:
-        raise UsageError("unreadable proof: %s" % e)
+    proof = _load_proof(args, theory)
     for pat, count in saturate.mine_patterns(proof, args.min_count,
                                              args.min_size):
         out.write("%d\t%s\n" % (count, syntax.render_term(pat, theory)))
@@ -285,6 +287,16 @@ def cmd_check(args, out):
         m = deserialize_model(lines[0])
     except ValueError as e:
         raise UsageError("unreadable model: %s" % e)
+    # the theory's defined symbols that the model leaves out get their
+    # tables from their definitions; a table the model has is kept
+    have = {*m.constants, *m.fun_tables, *m.rel_tables}
+    defs = {name: d for name, d in theory.definitions()[0].items()
+            if name not in have}
+    missing = sorted(set(theory.symbols()) - have - set(defs))
+    if missing:
+        raise UsageError("the model does not interpret %s"
+                         % ", ".join(missing))
+    m = m.extend(defs)
     bad = 0
     for label, formulas in (("assumption", theory.assumptions),
                             ("goal", theory.goals)):
@@ -313,6 +325,15 @@ def _build_parser():
                        default=[], required=required, metavar="FILE",
                        help="theory files, merged in order")
 
+    def limits_opt(p):
+        p.add_argument("--max-seconds", type=float,
+                       default=DEFAULT_MAX_SECONDS)
+        p.add_argument("--max-given", type=int, default=DEFAULT_MAX_GIVEN)
+
+    def format_opt(p):
+        p.add_argument("--format", choices=("tables", "compact"),
+                       default="tables")
+
     p = sub.add_parser("parse", help="echo the normalized theory")
     files_opt(p)
 
@@ -325,13 +346,11 @@ def _build_parser():
                    help="filter models up to isomorphism")
     p.add_argument("--max-models", type=int)
     p.add_argument("--max-seconds", type=float)
-    p.add_argument("--format", choices=("tables", "compact"),
-                   default="tables")
+    format_opt(p)
 
     p = sub.add_parser("prove", help="run the saturation prover")
     files_opt(p)
-    p.add_argument("--max-seconds", type=float, default=DEFAULT_MAX_SECONDS)
-    p.add_argument("--max-given", type=int, default=DEFAULT_MAX_GIVEN)
+    limits_opt(p)
     p.add_argument("--proof-out", metavar="PATH")
 
     p = sub.add_parser("verify", help="check a proof file")
@@ -354,16 +373,14 @@ def _build_parser():
                      help="direct product of L_m's, e.g. 2,2")
     p.add_argument("--derived", action="store_true",
                    help="extend with derived operation tables")
-    p.add_argument("--format", choices=("tables", "compact"),
-                   default="tables")
+    format_opt(p)
 
     p = sub.add_parser("lemmas", help="lemma corpus checks")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--verify-chains", action="store_true")
     mode.add_argument("--check-models", type=int, metavar="N")
     mode.add_argument("--prove", metavar="NAME")
-    p.add_argument("--max-seconds", type=float, default=DEFAULT_MAX_SECONDS)
-    p.add_argument("--max-given", type=int, default=DEFAULT_MAX_GIVEN)
+    limits_opt(p)
 
     p = sub.add_parser("check", help="satisfaction report for a model")
     p.add_argument("--model", required=True, metavar="PATH")
@@ -398,7 +415,15 @@ def main(argv=None, out=None):
 
 
 def main_script():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (hooplab ... | head); point
+        # stdout at devnull so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_FAIL
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -42,11 +42,14 @@ Forward subsumption files each live clause under its heaviest atom (and
 that atom flipped, for an equation).  Retrieving a new clause's atom
 returns a candidate with the bindings of its indexed literal's variables,
 and the subsumption check starts from them, matching only the candidate's
-other literals.
+other literals.  It also deletes a new clause equal to a live one: the
+live clause's indexed atom is an atom of the new clause, so retrieval
+finds it.
 
-For a symbol that the assumptions declare associative and commutative, a
-new clause with a positive equation whose sides are equal modulo AC is
-deleted: it follows from those two axioms alone (it is ground joinable).
+A new clause is a tautology (_State._tautology) when it has complementary
+literals or a positive equation whose sides are equal, modulo AC for a
+symbol that the assumptions declare associative and commutative: such an
+equation follows from those two axioms alone (it is ground joinable).
 
 Paramodulation works from positive unit equations only, so a search that
 kept a positive equation in a longer clause and ran out of clauses ends in
@@ -64,12 +67,10 @@ import re
 import time
 from itertools import count
 
-from .terms import (GREATER, INCOMPARABLE, LESS, VAR, ac_normal,
-                    canonical_clause, canonical_instance, canonical_renaming,
-                    clause_weight, clausify, is_tautology,
-                    lpo_gt, match, rename_apart, replace_at, substitute,
-                    substitute_clause, subterm_patterns, subterms, term_size,
-                    unify)
+from .terms import (VAR, ac_normal, canonical_clause, canonical_instance,
+                    clause_weight, clausify, lpo_gt, match, rename_apart,
+                    replace_at, substitute, substitute_clause,
+                    subterm_patterns, subterms, term_size, unify)
 
 EMPTY = ()
 
@@ -137,12 +138,13 @@ class ProverStats:
     inference rules generated, and those of them that demodulation
     rewrote at least once; clauses kept (made live, input clauses
     included); simplified clauses deleted as tautologies (AC ones
-    included), as duplicates of a live clause, or as forward-subsumed;
-    live clauses back-simplified; and clauses made demodulators."""
+    included) or as forward-subsumed (those equal to a live clause
+    included); live clauses back-simplified; and clauses made
+    demodulators."""
 
     __slots__ = ("given", "generated", "forward_demodulated", "kept",
-                 "tautologies", "duplicates", "forward_subsumed",
-                 "back_simplified", "demodulators")
+                 "tautologies", "forward_subsumed", "back_simplified",
+                 "demodulators")
 
     def __init__(self):
         for name in self.__slots__:
@@ -400,7 +402,8 @@ class _DiscTree:
     is stored as its preorder, with each variable numbered by its first
     occurrence; retrieval binds the variables as it walks, so every pattern
     it returns matches the query, and it returns the match with it.  A
-    node is (symbol children, variable children, leaf entries)."""
+    node is (symbol children, variable children, leaf entries); a leaf
+    entry is (value, the pattern's variable names by number)."""
 
     __slots__ = ("root",)
 
@@ -410,7 +413,7 @@ class _DiscTree:
     @staticmethod
     def _keys(pattern):
         """Preorder keys: symbols, and first-occurrence numbers for
-        variables."""
+        variables; and the variable names in that order."""
         keys, names = [], []
         stack = [pattern]
         while stack:
@@ -422,7 +425,7 @@ class _DiscTree:
             else:
                 keys.append(u[0])
                 stack.extend(reversed(u[1:]))
-        return keys
+        return keys, tuple(names)
 
     def _leaf(self, keys):
         node = self.root
@@ -435,15 +438,17 @@ class _DiscTree:
         return node[2]
 
     def insert(self, pattern, value):
-        self._leaf(self._keys(pattern)).append(value)
+        keys, names = self._keys(pattern)
+        self._leaf(keys).append((value, names))
 
     def remove(self, pattern, value):
-        self._leaf(self._keys(pattern)).remove(value)
+        keys, names = self._keys(pattern)
+        self._leaf(keys).remove((value, names))
 
     def retrieve(self, term):
-        """(value, bindings) for every pattern matching term; bindings
-        holds the values of the pattern's variables by first-occurrence
-        number."""
+        """(value, names, bindings) for every pattern matching term:
+        bindings holds the values of the pattern's variables, whose names
+        are names, by first-occurrence number."""
         out = []
         # each state: (node, query subterms still to meet as a linked
         # list, variable values bound so far)
@@ -474,8 +479,8 @@ class _DiscTree:
                         tail = (a, tail)
                 rest = tail
             if node is not None:
-                for value in node[2]:
-                    out.append((value, binds))
+                for value, names in node[2]:
+                    out.append((value, names, binds))
         return out
 
 
@@ -574,10 +579,9 @@ class _State:
         self.passive = set()    # ids
         self._by_weight = []    # heap of (weight, id); may hold stale ids
         self._by_age = []       # heap of ids; may hold stale ids
-        self.keys = {}          # canonical clause -> its live id
-        # demodulator entries (seq, id, lhs, rhs, side, ordered, lhs
-        # variables by first occurrence): how many were ever made (the
-        # next seq), the live ones by lhs, and by live id
+        # demodulator entries (seq, id, lhs, rhs, side, ordered): how many
+        # were ever made (the next seq), the live ones by lhs, and by live
+        # id
         self._demod_seq = 0
         self.demod_ix = _DiscTree()
         self._demod_vals = {}
@@ -590,8 +594,7 @@ class _State:
         self._sites = {}
         self.sub_ix = _InstanceIndex()  # subterms of the live clauses
         # forward subsumption: each live clause under one of its atoms, as
-        # (id, polarity, atom, literal index, the atom's variables by
-        # first occurrence)
+        # (id, polarity, atom, literal index)
         self.clause_ix = _DiscTree()
         self.pick = 0
         self.stats = ProverStats()
@@ -631,12 +634,17 @@ class _State:
 
     # -- orientation / demodulation
 
-    def orient(self, s, t):
+    def _readings(self, s, t):
+        """The readings (side, lhs, rhs) of the equation s = t with its
+        larger side under the LPO as lhs: that side alone, both ways round
+        when the sides are incomparable, none when they are equal."""
+        if s == t:
+            return []
         if lpo_gt(s, t, self.prec):
-            return GREATER
+            return [("l", s, t)]
         if lpo_gt(t, s, self.prec):
-            return LESS
-        return "equal" if s == t else INCOMPARABLE
+            return [("r", t, s)]
+        return [("l", s, t), ("r", t, s)]
 
     def demodulate(self, clause):
         """Rewrite to a normal form; returns (clause, rewrite entries)."""
@@ -685,8 +693,8 @@ class _State:
                 return hit
         hit = None
         # seq orders the entries, so the bindings are never compared
-        for val, binds in sorted(self.demod_ix.retrieve(sub)):
-            hit = self._root_step(sub, val, dict(zip(val[6], binds)))
+        for val, names, binds in sorted(self.demod_ix.retrieve(sub)):
+            hit = self._root_step(sub, val, dict(zip(names, binds)))
             if hit is not None:
                 break
         self._root_memo[sub] = (hit, self._demod_seq)
@@ -698,7 +706,7 @@ class _State:
         match or, for an incomparable equation, the instance does not
         shrink.  binding, when given, is the match of the left-hand side
         to sub, found already."""
-        _, did, lhs, rhs, side, ordered, _ = val
+        _, did, lhs, rhs, side, ordered = val
         if binding is None:
             binding = match(lhs, sub)
             if binding is None:
@@ -745,14 +753,11 @@ class _State:
         redundant; canonical says that its variables are named canonically
         already."""
         stats = self.stats
-        if is_tautology(clause) or self._ac_tautology(clause):
+        if self._tautology(clause):
             stats.tautologies += 1
             return
         if not canonical:
             clause = canonical_clause(clause)
-        if clause in self.keys:
-            stats.duplicates += 1
-            return
         if clause and self._forward_subsumed(clause):
             stats.forward_subsumed += 1
             return
@@ -761,17 +766,23 @@ class _State:
             raise _Contradiction(sid)
         self._install(sid, clause)
 
-    def _ac_tautology(self, clause):
+    def _tautology(self, clause):
+        """Whether clause has complementary literals, or a positive
+        equation whose sides are equal modulo AC for the AC symbols."""
+        positive = [atom for pol, atom in clause if pol]
+        if any(not pol and atom in positive for pol, atom in clause):
+            return True
         ac = self.ac_symbols
         # AC normalization keeps the top symbol, so equal tops come first
-        return bool(ac) and any(
-            pol and atom[0] == "=" and atom[1][0] == atom[2][0]
-            and ac_normal(atom[1], ac) == ac_normal(atom[2], ac)
-            for pol, atom in clause)
+        return any(
+            atom[0] == "=" and (atom[1] == atom[2] or bool(ac)
+                                and atom[1][0] == atom[2][0]
+                                and ac_normal(atom[1], ac)
+                                == ac_normal(atom[2], ac))
+            for atom in positive)
 
     def _install(self, sid, key, input_clause=False):
         self.stats.kept += 1
-        self.keys[key] = sid
         self.passive.add(sid)
         heapq.heappush(self._by_weight, (clause_weight(key), sid))
         heapq.heappush(self._by_age, sid)
@@ -782,9 +793,7 @@ class _State:
         # likely to match
         li, (pol, atom) = max(enumerate(key),
                               key=lambda e: clause_weight((e[1],)))
-        self.live[sid] = vals = [
-            (sid, pol, pat, li, tuple(canonical_renaming([pat])))
-            for pat in _flips(atom)]
+        self.live[sid] = vals = [(sid, pol, pat, li) for pat in _flips(atom)]
         for val in vals:
             self.clause_ix.insert(val[2], val)
         self._maybe_new_demod(sid, key, input_clause)
@@ -799,7 +808,7 @@ class _State:
         feats = _clause_feats(clause)
         targets = None      # clause's literals, equations both ways round
         for pol, atom in clause:
-            for (sid, pol2, _, li, names), binds in \
+            for (sid, pol2, _, li), names, binds in \
                     self.clause_ix.retrieve(atom):
                 if pol2 != pol:
                     continue
@@ -832,8 +841,7 @@ class _State:
         self.stats.demodulators += 1
         seq = self._demod_seq
         self._demod_vals[sid] = vals = [
-            (seq + i, sid, lhs, rhs, side, ordered,
-             tuple(canonical_renaming([lhs])))
+            (seq + i, sid, lhs, rhs, side, ordered)
             for i, (side, lhs, rhs) in enumerate(eqs)]
         for val in vals:
             self.demod_ix.insert(val[2], val)
@@ -853,7 +861,7 @@ class _State:
         victims.discard(did)
         for sid in sorted(victims):
             # a nested back-simplification may already have retired it;
-            # its copy is then added again (and dropped as a duplicate)
+            # its copy is then added again (and dropped as subsumed)
             if sid in self.live:
                 self._retire(sid)
                 self.stats.back_simplified += 1
@@ -867,8 +875,6 @@ class _State:
         self.passive.discard(sid)
         self._sites.pop(sid, None)
         clause = self.steps[sid].clause
-        if self.keys.get(clause) == sid:
-            del self.keys[clause]
         for sub in _clause_subterms(clause):
             self.sub_ix.discard(sub, sid)
         vals = self._demod_vals.pop(sid, None)
@@ -880,21 +886,11 @@ class _State:
     # -- inference rules
 
     def _equations_of(self, clause):
-        """The readings (side, lhs, rhs) of a positive unit equation, as
-        paramodulation sources and demodulator entries: the larger side
-        first, or both ways when the sides are incomparable."""
+        """The readings (_readings) of a positive unit equation, as
+        paramodulation sources and demodulator entries; none for any other
+        clause."""
         eq = _unit_equation(clause)
-        if eq is None:
-            return []
-        s, t = eq
-        rel = self.orient(s, t)
-        if rel == GREATER:
-            return [("l", s, t)]
-        if rel == LESS:
-            return [("r", t, s)]
-        if rel == INCOMPARABLE:
-            return [("l", s, t), ("r", t, s)]
-        return []
+        return [] if eq is None else self._readings(*eq)
 
     def _para_sites(self, sid):
         """Clause sid's readings as a paramodulation source
@@ -911,9 +907,9 @@ class _State:
             for li, (pol, atom) in enumerate(clause):
                 if atom[0] == "=":
                     # superposition restriction: rewrite only the maximal
-                    # side of an orientable equation
-                    sides = {GREATER: (1,), LESS: (2,)}.get(
-                        self.orient(atom[1], atom[2]), (1, 2))
+                    # sides, both when they are equal
+                    sides = [1 if side == "l" else 2 for side, _, _
+                             in self._readings(atom[1], atom[2])] or (1, 2)
                 else:
                     sides = range(1, len(atom))
                 for ai in sides:

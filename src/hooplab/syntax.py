@@ -58,7 +58,8 @@ def data_text(*parts):
 
 class Theory:
     def __init__(self, op_decls=None, assumptions=None, goals=None):
-        # (precedence, fixity, symbol); fixity is "infix" or "postfix"
+        # (precedence, fixity, symbol); fixity is "infix", the only one
+        # a declaration can give (the postfix prime needs none)
         self.op_decls = [] if op_decls is None else op_decls
         self.assumptions = [] if assumptions is None else assumptions
         self.goals = [] if goals is None else goals
@@ -404,7 +405,7 @@ class _Parser:
                 prec = int(val)
                 self.expect(",")
                 kind, fixity, line, col = self.next()
-                if fixity not in ("infix", "postfix"):
+                if fixity != "infix":
                     raise ParseError("unknown fixity %r" % fixity, line, col)
                 self.expect(",")
                 kind, sym, line, col = self.next()
@@ -418,8 +419,7 @@ class _Parser:
                         "operator %r redeclared as %r, was %r"
                         % (sym, (prec, fixity), old))
                 theory.op_decls.append((prec, fixity, sym))
-                if fixity == "infix":
-                    self.ops[sym] = (prec, fixity)
+                self.ops[sym] = (prec, fixity)
             elif self.at("formulas"):
                 self.next()
                 self.expect("(")

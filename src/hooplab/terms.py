@@ -295,24 +295,8 @@ def rename_apart(clause):
                                       for v in clause_vars(clause)})
 
 
-def is_tautology(clause) -> bool:
-    atoms_pos = {a for p, a in clause if p}
-    atoms_neg = {a for p, a in clause if not p}
-    if atoms_pos & atoms_neg:
-        return True
-    for pol, atom in clause:
-        if pol and atom[0] == "=" and atom[1] == atom[2]:
-            return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # lexicographic path ordering
-
-GREATER = "greater"
-LESS = "less"
-INCOMPARABLE = "incomparable"
-
 
 def lpo_gt(s, t, prec) -> bool:
     """s > t in the lexicographic path ordering with the given precedence
@@ -324,7 +308,7 @@ def lpo_gt(s, t, prec) -> bool:
     arguments of t; both cases give the definition's answer by the
     ordering's transitivity and subterm property."""
     if t[0] == VAR:
-        return s != t and _occurs_plain(t[1], s)
+        return s != t and _occurs(t[1], s, {})
     if s[0] == VAR:
         return False
     f, g = s[0], t[0]
@@ -354,15 +338,6 @@ def _ge_some(s, t, start, prec):
     """s[j] >= t for some argument index j >= start."""
     for j in range(start, len(s)):
         if s[j] == t or lpo_gt(s[j], t, prec):
-            return True
-    return False
-
-
-def _occurs_plain(name, t):
-    if t[0] == VAR:
-        return t[1] == name
-    for a in t[1:]:
-        if _occurs_plain(name, a):
             return True
     return False
 

@@ -295,6 +295,28 @@ def test_check_model_failure(tmp_path):
     assert "FAILS" in out
 
 
+def test_check_computes_defined_tables(tmp_path):
+    # the model has no >= table; hoop-ge-def.ax defines it
+    _, compact = run("construct", "--ln", "4", "--format", "compact")
+    mf = tmp_path / "m.model"
+    mf.write_text(compact)
+    code, out = run("check", "--model", str(mf), "-f", data("hoop.ax"),
+                    data("hoop-ge-def.ax"), data("hp-plus-mono.gl"))
+    assert code == 0
+    assert out.splitlines() == (["assumption %d: holds" % i
+                                 for i in range(1, 10)]
+                                + ["goal 1: holds", "checks: 0 failed"])
+
+
+def test_check_names_uninterpreted_symbols(tmp_path, capsys):
+    mf = tmp_path / "m.model"
+    mf.write_text("2 ; fun/0 0 = 0\n")
+    code, out = run("check", "--model", str(mf), "-f", data("hoop.ax"))
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == (
+        "error: the model does not interpret +, 1, ~\n")
+
+
 def test_check_rejects_non_boolean_relation_entry(tmp_path, capsys):
     _, compact = run("construct", "--ln", "2", "--format", "compact")
     mf = tmp_path / "m.model"
@@ -433,3 +455,19 @@ def test_command_imports_only_its_engines(footprint_dir, argv, want_code,
     engines = {m.split(".")[1] for m in loaded if m.startswith("hooplab.")}
     assert "cli" in engines and not engines & barred
     assert "dataclasses" not in loaded
+
+
+def test_closed_pipe_ends_without_traceback():
+    """A reader that stops early (hooplab enumerate ... | head) ends the
+    command with exit code 1 and no traceback."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    with subprocess.Popen(
+            [sys.executable, "-m", "hooplab.cli", "enumerate", "--builtin",
+             "hoop", "--size", "6"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert child.stdout.readline() == b"# model 1\n"
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=300) == 1
+    assert "Traceback" not in err, err

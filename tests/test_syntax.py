@@ -123,6 +123,9 @@ def test_parse_errors_carry_position():
         parse_source("formulas(assumptions).\n x = .\nend_of_list.")
     with pytest.raises(ParseError):
         parse_source("op(xyz, infix, \"+\").")
+    # the prime is the only postfix operator, and it is not declared
+    with pytest.raises(ParseError):
+        parse_source("op(300, postfix, \"!\").")
 
 
 def test_conflicting_arity_rejected():
