@@ -7,13 +7,13 @@ factors between the given clause and the active set.  The goal is denied
 with Skolem constants c1, c2, ... named apart from the theory's symbols.
 
 New clauses are simplified by demodulation, checked for tautology and
-forward subsumption, and added to the passive set.  The demodulators are
-the positive unit equations whose sides the LPO orders, rewriting the
-larger side to the smaller, and the input equations whose sides it cannot
-order, which rewrite either way on instances that get smaller.  An input
-equation whose two readings are variants of each other (x + y = y + x) is
-indexed by its first reading only: the second rewrites exactly as the first
-does, and the first is always tried first.  One test (_State._root_step)
+forward subsumption, and added to the passive set.  Every positive unit
+equation, input or derived, is a demodulator: one whose sides the LPO
+orders rewrites the larger side to the smaller, one whose sides it cannot
+order rewrites either way on instances that get smaller.  An equation
+whose two readings are variants of each other (x + y = y + x) is indexed
+by its first reading only: the second rewrites exactly as the first does,
+and the first is always tried first.  One test (_State._root_step)
 decides whether a demodulator rewrites a term at its root; forward
 demodulation and back-simplification, in which a new demodulator
 simplifies again every live clause it rewrites, both use it.  Forward
@@ -70,7 +70,7 @@ from itertools import count
 from .terms import (VAR, ac_normal, canonical_clause, canonical_instance,
                     clause_weight, clausify, lpo_gt, match, rename_apart,
                     replace_at, substitute, substitute_clause,
-                    subterm_patterns, subterms, term_size, unify)
+                    subterm_patterns, subterms, term_size, term_vars, unify)
 
 EMPTY = ()
 
@@ -566,9 +566,7 @@ class _State:
         self.limits = limits
         self.should_stop = should_stop
         self.prec = _Prec(theory.precedence())
-        self.ac_symbols = _ac_symbols(
-            cl for f in theory.assumptions
-            for cl in clausify(f, "assumption"))
+        self.ac_symbols = set()     # set by load, from the assumptions
         self.ids = count(1)
         self.steps = {}         # id -> ProofStep, every step ever made
         self.feats = {}         # id -> frozenset of (polarity, predicate)
@@ -612,9 +610,11 @@ class _State:
         goal = self.theory.goals[0]
         gid = next(self.ids)
         self.steps[gid] = ProofStep(gid, None, [("goal",)], formula=goal)
-        for f in self.theory.assumptions:
-            for cl in clausify(f, "assumption"):
-                self.add_input(cl, ("assumption",))
+        clauses = [cl for f in self.theory.assumptions
+                   for cl in clausify(f, "assumption")]
+        self.ac_symbols = _ac_symbols(clauses)
+        for cl in clauses:
+            self.add_input(cl, ("assumption",))
         for cl in _denial(self.theory, goal):
             self.add_input(cl, ("deny", gid))
 
@@ -630,7 +630,7 @@ class _State:
         if len(justification) > 1:  # rewritten or a literal resolved away
             self.keep(simplified, justification, canonical=False)
         else:
-            self._install(sid, raw, input_clause=True)
+            self._install(sid, raw)
 
     # -- orientation / demodulation
 
@@ -781,7 +781,7 @@ class _State:
                                 == ac_normal(atom[2], ac))
             for atom in positive)
 
-    def _install(self, sid, key, input_clause=False):
+    def _install(self, sid, key):
         self.stats.kept += 1
         self.passive.add(sid)
         heapq.heappush(self._by_weight, (clause_weight(key), sid))
@@ -796,7 +796,7 @@ class _State:
         self.live[sid] = vals = [(sid, pol, pat, li) for pat in _flips(atom)]
         for val in vals:
             self.clause_ix.insert(val[2], val)
-        self._maybe_new_demod(sid, key, input_clause)
+        self._maybe_new_demod(sid, key)
 
     def _forward_subsumed(self, clause):
         """Whether a live clause subsumes clause: some substitution maps
@@ -824,20 +824,20 @@ class _State:
                     return True
         return False
 
-    def _maybe_new_demod(self, sid, clause, input_clause=False):
+    def _maybe_new_demod(self, sid, clause):
         """Make a positive unit equation a demodulator and back-simplify
-        with it.  One whose sides are incomparable (two entries) becomes
-        one only as an input clause; it then rewrites either way, on
-        instances that decrease (e.g. commutativity sorts arguments).  When
-        its two readings are variants of each other, only the first gets
-        an entry: the second gives the same rewrites."""
+        with it.  One whose sides are incomparable rewrites either way, on
+        instances that decrease (e.g. commutativity sorts arguments), and
+        only by its first reading when the two are variants of each other.
+        No reading rewrites to a variable that its left-hand side lacks."""
         eqs = self._equations_of(clause)
         ordered = len(eqs) == 2
-        if not eqs or ordered and not input_clause:
-            return
         if ordered and clause == canonical_clause(
                 ((True, ("=", eqs[1][1], eqs[1][2])),)):
             eqs = eqs[:1]
+        eqs = [e for e in eqs if term_vars(e[2]) <= term_vars(e[1])]
+        if not eqs:
+            return
         self.stats.demodulators += 1
         seq = self._demod_seq
         self._demod_vals[sid] = vals = [

@@ -303,24 +303,36 @@ def _rejected_near(record, chain, i):
 MNMN_DERIVE = "(x cap y)'\n(y cap x)'\t=\tderive(MNA, AA)\n"
 
 
-@pytest.fixture(scope="module")
-def mnmn_certificate(tmp_path_factory):
-    """The prover's proof of the MNMN_DERIVE link, made by the recipe the
-    README gives for a certificate."""
-    folder = tmp_path_factory.mktemp("certificate")
-    link = folder / "MNMN.2.p"
+def _certificate(folder, names, goal, max_given):
+    """The prover's proof of goal from the lemmas names, made by the recipe
+    the README gives for a certificate."""
+    link = folder / "LINK.p"
     link.write_text(
         "formulas(assumptions).\n%send_of_list.\n"
         "formulas(goals).\n   %s.\nend_of_list.\n"
-        % ("".join("   %s.\n" % CORPUS[n].statement_text
-                   for n in ("MNA", "AA")),
-           CORPUS["MNMN"].statement_text))
-    proof = folder / "MNMN.2.proof"
+        % ("".join("   %s.\n" % CORPUS[n].statement_text for n in names),
+           goal))
+    proof = folder / "LINK.proof"
     code = cli.main(["prove", "-f", "hoop.ax", "hoop-ge-def.ax",
-                     "hoop-defs.ax", str(link), "--max-given", "70",
+                     "hoop-defs.ax", str(link), "--max-given", str(max_given),
                      "--proof-out", str(proof)], out=io.StringIO())
     assert code == 0
     return proof.read_text()
+
+
+@pytest.fixture(scope="module")
+def mnmn_certificate(tmp_path_factory):
+    """The prover's proof of the MNMN_DERIVE link."""
+    return _certificate(tmp_path_factory.mktemp("certificate"),
+                        ("MNA", "AA"), CORPUS["MNMN"].statement_text, 70)
+
+
+def test_shipped_certificate_is_the_recipes(tmp_path):
+    """NNSNNSNN's derive link (line 2 of its chain) ships the proof that
+    the README's recipe writes, byte for byte."""
+    made = _certificate(tmp_path, ("basic_vi", "SSNNSNO", "NSNSM"),
+                        "x'' ~ y'' = (x'' ~ y)''", 200)
+    assert chains.proof_certificate("NNSNNSNN", 2) == made
 
 
 def test_derive_link_accepted_with_its_certificate(monkeypatch,
@@ -379,8 +391,8 @@ def test_chain_verification_never_runs_the_prover(monkeypatch):
     verdicts = {record.name: verify_chain_report(record, record.depends_on)
                 for record in lemma_corpus() if record.chain is not None}
     rejected = sorted(n for n, (ok, _) in verdicts.items() if not ok)
-    assert rejected == ["NNSNNSNN", "PNNNNPNN"]
-    assert len(verdicts) - len(rejected) == 21
+    assert rejected == ["PNNNNPNN"]
+    assert len(verdicts) - len(rejected) == 22
     for name in rejected:
         assert "no proof certificate" in verdicts[name][1]
 
