@@ -21,7 +21,10 @@ demodulation takes the pattern's variable bindings from the discrimination
 tree that found it, so it never matches the pattern a second time.
 Normal forms are memoized while the set of demodulators stays the same;
 the memo holds normal forms only, and the rewrite entries of a proof step
-come from the walk that rewrites the clause.
+come from the walk that rewrites the clause.  The first entry that
+rewrites a term at its root is memoized too.  An entry never changes, so a
+miss keeps the entry count it was computed at, and after new entries
+arrive only those are checked.
 
 Every stored clause is canonical: its variables are x, y, z, u, v, w, x1,
 ... in order of first occurrence.  Inferences work from per-clause data
@@ -583,7 +586,8 @@ class _State:
         self._demod_seq = 0
         self.demod_ix = _DiscTree()
         self._demod_vals = {}
-        self._root_memo = {}    # term -> (_rewrite_once result, _demod_seq)
+        # term -> (_rewrite_once result, the _demod_seq it was computed at)
+        self._root_memo = {}
         # term -> its normal form under the current demodulators; cleared
         # whenever one is added or retired
         self._norm_memo = {}
@@ -684,16 +688,20 @@ class _State:
         """The first demodulator entry, in insertion order, that rewrites
         sub at its root: (demod id, side, result), or None.  Remembered per
         term: a hit stays first while its demodulator lives (later entries
-        come after it), and a miss while no entry is added."""
-        got = self._root_memo.get(sub)
-        if got is not None:
-            hit, seen = got
-            if (hit[0] in self._demod_vals if hit is not None
-                    else seen == self._demod_seq):
+        come after it).  A miss keeps the entry count it was computed at:
+        an entry never changes, so the entries made before it still refuse
+        sub, and after new entries arrive only those are checked."""
+        hit, since = self._root_memo.get(sub, (None, 0))
+        if hit is not None:
+            if hit[0] in self._demod_vals:
                 return hit
-        hit = None
+            hit, since = None, 0
+        elif since == self._demod_seq:
+            return None
         # seq orders the entries, so the bindings are never compared
         for val, names, binds in sorted(self.demod_ix.retrieve(sub)):
+            if val[0] < since:
+                continue
             hit = self._root_step(sub, val, dict(zip(names, binds)))
             if hit is not None:
                 break
@@ -903,13 +911,15 @@ class _State:
         got = self._sites.get(sid)
         if got is None:
             clause = self.steps[sid].clause
+            eqs = self._equations_of(clause)
             by_head, every = {}, []
             for li, (pol, atom) in enumerate(clause):
                 if atom[0] == "=":
                     # superposition restriction: rewrite only the maximal
                     # sides, both when they are equal
                     sides = [1 if side == "l" else 2 for side, _, _
-                             in self._readings(atom[1], atom[2])] or (1, 2)
+                             in eqs or self._readings(atom[1], atom[2])] \
+                        or (1, 2)
                 else:
                     sides = range(1, len(atom))
                 for ai in sides:
@@ -917,8 +927,8 @@ class _State:
                         site = (li, path, sub)
                         every.append(site)
                         by_head.setdefault(sub[0], []).append(site)
-            got = self._sites[sid] = (self._equations_of(clause), by_head,
-                                      every, rename_apart(clause))
+            got = self._sites[sid] = (eqs, by_head, every,
+                                      rename_apart(clause))
         return got
 
     def _paramodulate(self, from_id, into_id, out):

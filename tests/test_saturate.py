@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from hooplab import saturate
+from hooplab.chains import lemma_corpus, lemma_theory
 from hooplab.hoops import builtin_theory
 from hooplab.saturate import (
     Proof, ProofStep, ProverError, ProverLimits, ProverStats, mine_patterns,
@@ -711,8 +712,50 @@ def test_cached_sites_paramodulate_as_the_reference():
     assert pairs == 420 and made > 0
 
 
-def _prove_counting_given(files, max_given):
-    th = data_theory(*files)
+class _CheckedRootLookups(saturate._State):
+    """A prover state that compares each _rewrite_once answer with a
+    memo-free scan: the first live demodulator entry, in seq order, whose
+    _root_step rewrites the term.  skips counts the lookups of a stale
+    miss that left out a live entry older than the miss whose left-hand
+    side matches the term."""
+
+    answers = skips = 0
+    checked = None      # seqs of the entries a lookup checks
+
+    def _root_step(self, sub, val, binding=None):
+        if self.checked is not None:
+            self.checked.append(val[0])
+        return super()._root_step(sub, val, binding)
+
+    def _rewrite_once(self, sub):
+        live = sorted(val for vals in self._demod_vals.values()
+                      for val in vals)
+        got = self._root_memo.get(sub)
+        stale = got is not None and got[0] is None \
+            and got[1] < self._demod_seq
+        seen = got[1] if stale else 0
+        self.checked = []
+        hit = super()._rewrite_once(sub)
+        checked, self.checked = self.checked, None
+        want = next((h for h in (self._root_step(sub, val) for val in live)
+                     if h is not None), None)
+        assert hit == want, sub
+        self.answers += 1
+        self.skips += any(val[0] < seen and val[0] not in checked
+                          and match(val[2], sub) is not None
+                          for val in live)
+        return hit
+
+
+def test_remembered_root_lookups_rewrite_as_the_reference():
+    th = data_theory("hoop.ax", "hoop-defs.ax", "hp-cup-assoc.gl")
+    state = _CheckedRootLookups(th, ProverLimits(max_given=70))
+    assert state.run().status == "proved"
+    assert state.answers > 0 and state.skips > 0
+
+
+def _prove_counting_given(names, max_given):
+    th = _pinned_theory(names)
     calls = [0]
 
     def should_stop():
@@ -740,28 +783,42 @@ _PINNED = {
     # deletes more clauses than any other test
     "hoop-ax6.gl": ("max_given", 71, None,
                     (70, 3884, 900, 835, 245, 2830, 14, 19)),
+    # a corpus lemma that runs to the budget, as most of them do
+    "basic_vi": ("max_given", 71, None,
+                 (70, 1877, 1129, 399, 762, 747, 15, 160)),
 }
 
 
-@pytest.mark.parametrize("files", [
+def _pinned_theory(names):
+    """The theory of data files ending in a goal file, or of a corpus
+    lemma's name: the lemma posed with hoop_defs and its dependencies, as
+    the prove benchmark poses it."""
+    record = next((r for r in lemma_corpus() if r.name == names[-1]), None)
+    if record is None:
+        return data_theory(*names)
+    return lemma_theory(record.depends_on, record.statement)
+
+
+@pytest.mark.parametrize("names", [
     ("semilattice.ax", "sl-pr1.gl"),
     ("hoop.ax", "hoop-ge-def.ax", "hp-plus-mono.gl"),
     ("hoop.ax", "hoop-ge-def.ax", "hp-sum-lemma.gl"),
     ("pocrim.ax", "hoop-ax6.gl"),
     ("hoop.ax", "hoop-defs.ax", "hp-cup-assoc.gl"),
-], ids=lambda files: files[-1])
-def test_search_is_pinned(files):
+    ("basic_vi",),
+], ids=lambda names: names[-1])
+def test_search_is_pinned(names):
     """The search these goals take at max_given=70, in deterministic
     counts.  A change to the prover's heuristics (selection, ordering,
     simplification, redundancy) may move them: it must then update these
     values and say so in CHANGES.  A change that only makes the prover
     faster must leave them as they are."""
-    out, given = _prove_counting_given(files, 70)
+    out, given = _prove_counting_given(names, 70)
     proved = out.status == "proved"
     stats = tuple(getattr(out.stats, name) for name in ProverStats.__slots__)
     assert ("proved" if proved else out.which, given,
             len(out.proof.steps) if proved else None, stats) \
-        == _PINNED[files[-1]]
+        == _PINNED[names[-1]]
     # should_stop is called once more when a limit ends the search
     assert out.stats.given == given - (not proved)
 
