@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .terms import VAR, ac_normal, substitute, term_vars
 from .hoops import DERIVED_DEFS, MINUS, PLUS, builtin_theory, parse_hoop_term
@@ -425,14 +425,15 @@ def _fact_pairs(formula):
 
 class LemmaRecord(namedtuple("LemmaRecord", "name statement_text "
                              "depends_on helper", defaults=((), False))):
-    __slots__ = ()
+    """A corpus statement; its formula and its transcribed chain are
+    parsed on first read, once per record."""
 
-    @property
+    @cached_property
     def statement(self):
         return parse_formula_text(self.statement_text,
                                   builtin_theory("hoop_defs"))
 
-    @property
+    @cached_property
     def chain(self):
         text = data_text("chains", self.name + ".chain")
         return None if text is None else parse_chain(text)
@@ -492,7 +493,9 @@ def parse_chain(text):
 # ---------------------------------------------------------------------------
 # the corpus
 
-def _records():
+@lru_cache(maxsize=None)
+def _registry():
+    """Every record by name, in dependency order, helpers last."""
     basic = [
         ("basic_i", "x >= y cap x", ()),
         ("basic_ii", "x >= x \\ y", ()),
@@ -526,22 +529,14 @@ def _records():
          ("basic_vi", "NNSNNSNN", "SNNNPN")),
     ]
     records = [LemmaRecord(n, s, d) for n, s, d in basic + named]
-    helpers = [LemmaRecord("PNSSNNO", "x + (x' ~ (x ~ x'')) = 1",
-                           (), helper=True)]
-    return records, helpers
+    records.append(LemmaRecord("PNSSNNO", "x + (x' ~ (x ~ x'')) = 1",
+                               (), helper=True))
+    return {r.name: r for r in records}
 
 
-@lru_cache(maxsize=None)
 def lemma_corpus():
     """The transcribed lemma corpus, in dependency order."""
-    records, _ = _records()
-    return records
-
-
-@lru_cache(maxsize=None)
-def _registry():
-    records, helpers = _records()
-    return {r.name: r for r in records + helpers}
+    return [r for r in _registry().values() if not r.helper]
 
 
 # ---------------------------------------------------------------------------
@@ -667,8 +662,8 @@ class _Verifier:
                             return True
                 return False
             if just.kind in ("base", "ac"):
-                gq = _Geq((), self.base)
-                return gq.geq(prev, cur) and gq.geq(cur, prev)
+                return (self.base.geq(prev, cur)
+                        and self.base.geq(cur, prev))
             if just.kind == "derive":
                 for name in just.refs:
                     self.available(name)

@@ -123,6 +123,7 @@ def _run_prover(theory, args, out, proof_sink):
             text = saturate.render_proof(outcome.proof, sub)
             out.write(text + "\n")
             proof_sink.append(text)
+            out.write("# stats: %s\n" % outcome.stats)
         else:
             if outcome.status == "exhausted":
                 out.write("SEARCH EXHAUSTED\n")
@@ -227,22 +228,20 @@ def _lemmas_verify_chains(out):
 
 def _lemmas_check_models(size, out):
     from . import chains, hoops, search
-    theory = hoops.builtin_theory("hoop")
+    # hoop_defs models come with the defined operations' tables
+    theory = hoops.builtin_theory("hoop_defs")
     corpus = chains.lemma_corpus()
-    # LemmaRecord.statement parses on each read
-    statements = [(record.name, record.statement) for record in corpus]
     bad = 0
     checked = 0
     for n in range(1, size + 1):
         opts = search.SearchOptions(n, upto_iso=True)
         for m in search.enumerate_models(theory, opts):
-            dm = hoops.derived_tables(m)
             checked += 1
-            for name, statement in statements:
-                if not dm.satisfies(statement):
+            for record in corpus:
+                if not m.satisfies(record.statement):
                     bad += 1
                     out.write("# %s FAILS in a hoop of size %d\n"
-                              % (name, n))
+                              % (record.name, n))
     out.write("corpus statements: %d lemmas checked in %d hoops "
               "(sizes 1..%d), %d failures\n"
               % (len(corpus), checked, size, bad))

@@ -199,10 +199,6 @@ def _dedup(clause):
     return tuple(seen)
 
 
-def _clause_feats(clause):
-    return frozenset((pol, atom[0]) for pol, atom in clause)
-
-
 def _clause_subterms(clause):
     """The distinct non-variable subterms of a clause."""
     return {sub for _, atom in clause for t in atom[1:]
@@ -572,7 +568,6 @@ class _State:
         self.ac_symbols = set()     # set by load, from the assumptions
         self.ids = count(1)
         self.steps = {}         # id -> ProofStep, every step ever made
-        self.feats = {}         # id -> frozenset of (polarity, predicate)
         # the live clauses: id -> their clause_ix values; active and
         # passive partition its keys
         self.live = {}
@@ -605,7 +600,6 @@ class _State:
     def _new_step(self, clause, justification):
         sid = next(self.ids)
         self.steps[sid] = ProofStep(sid, clause, justification)
-        self.feats[sid] = _clause_feats(clause)
         return sid
 
     # -- input
@@ -813,7 +807,6 @@ class _State:
         some literal of clause, so retrieving that literal's atom finds the
         subsumer with the bindings of the indexed literal's variables; the
         search starts from them and matches the other literals only."""
-        feats = _clause_feats(clause)
         targets = None      # clause's literals, equations both ways round
         for pol, atom in clause:
             for (sid, pol2, _, li), names, binds in \
@@ -823,7 +816,7 @@ class _State:
                 other = self.steps[sid].clause
                 if len(other) == 1:
                     return True
-                if len(other) > len(clause) or not self.feats[sid] <= feats:
+                if len(other) > len(clause):
                     continue
                 if targets is None:
                     targets = [(p, a) for p, lit in clause
@@ -936,8 +929,6 @@ class _State:
         if not eqs:
             return
         _, by_head, every, _ = self._para_sites(into_id)
-        if not any(lhs[0] == VAR or lhs[0] in by_head for _, lhs, _ in eqs):
-            return
         into_cl = self.steps[into_id].clause
         # the readings are of the stored clause; take the chosen sides
         # from its renamed copy
@@ -946,8 +937,6 @@ class _State:
             lhs, rhs = (left, right) if side == "l" else (right, left)
             sites = every if lhs[0] == VAR else by_head.get(lhs[0], ())
             for li, path, sub in sites:
-                if len(sub) != len(lhs) and lhs[0] != VAR:
-                    continue    # unify would fail at the root
                 b = unify(lhs, sub)
                 if b is None:
                     continue
@@ -959,17 +948,13 @@ class _State:
                                       path)]))
 
     def _resolve(self, id1, id2, out):
-        feats2 = self.feats[id2]
-        if not any((not pol, pred) in feats2
-                   for pol, pred in self.feats[id1] if pred != "="):
-            return
         c1 = self.steps[id1].clause
         c2 = self._para_sites(id2)[3]     # renamed apart from c1
         for i, (p1, a1) in enumerate(c1):
             if a1[0] == "=":
                 continue
             for j, (p2, a2) in enumerate(c2):
-                if p1 == p2 or a1[0] != a2[0] or len(a1) != len(a2):
+                if p1 == p2 or a1[0] != a2[0]:
                     continue
                 b = unify(a1, a2)
                 if b is None:
@@ -983,7 +968,7 @@ class _State:
         for i in range(len(clause)):
             for j in range(i + 1, len(clause)):
                 (p1, a1), (p2, a2) = clause[i], clause[j]
-                if p1 != p2 or a1[0] != a2[0] or len(a1) != len(a2):
+                if p1 != p2 or a1[0] != a2[0]:
                     continue
                 b = unify(a1, a2)
                 if b is None:

@@ -1,5 +1,6 @@
 """Chain verifier and the transcribed lemma corpus."""
 
+import functools
 import io
 
 import pytest
@@ -395,6 +396,31 @@ def test_chain_verification_never_runs_the_prover(monkeypatch):
     assert len(verdicts) - len(rejected) == 22
     for name in rejected:
         assert "no proof certificate" in verdicts[name][1]
+
+
+def test_each_record_parses_once(monkeypatch):
+    """Verifying every transcribed chain, the cited statements and the
+    helper's included, parses each record's statement and chain at most
+    once."""
+    parses = {}
+
+    def counting(fn):
+        def wrapper(text, *args):
+            parses[fn, text] = parses.get((fn, text), 0) + 1
+            return fn(text, *args)
+        return wrapper
+
+    monkeypatch.setattr(chains, "parse_formula_text",
+                        counting(chains.parse_formula_text))
+    monkeypatch.setattr(chains, "parse_chain", counting(chains.parse_chain))
+    # fresh records, so that every parse happens under the counters
+    monkeypatch.setattr(chains, "_registry",
+                        functools.lru_cache()(chains._registry.__wrapped__))
+    for record in lemma_corpus():
+        if record.chain is not None:
+            verify_chain_report(record, record.depends_on)
+    assert len(parses) > len(lemma_corpus())
+    assert max(parses.values()) == 1
 
 
 # ---------------------------------------------------------------------------

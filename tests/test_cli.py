@@ -61,6 +61,12 @@ def test_prove_limit_prints_stats():
     assert stats.endswith(" demodulators")
 
 
+def test_prove_prints_stats_after_the_proof():
+    code, out = run("prove", "-f", "semilattice.ax", "sl-pr1.gl")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("# stats: 0 given, ")
+
+
 def test_prove_missing_file_usage_error():
     code, _ = run("prove", "-f", "no-such-file-anywhere.ax")
     assert code == 3

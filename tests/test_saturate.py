@@ -15,7 +15,9 @@ from hooplab.saturate import (
     Proof, ProofStep, ProverError, ProverLimits, ProverStats, mine_patterns,
     parse_proof, prove, render_proof, transform_proof, verify_proof,
 )
-from hooplab.syntax import Theory, parse_formula_text, parse_source
+from hooplab.syntax import (
+    Theory, TheoryError, parse_formula_text, parse_source,
+)
 from hooplab.terms import (
     VAR, canonical_clause, lpo_gt, match, positions, rename_apart,
     replace_at, substitute, substitute_clause, subterm_at, term_vars, unify,
@@ -841,6 +843,19 @@ end_of_list.
 """)
     out = prove(th)
     assert out.status == "exhausted" and out.stats.given > 0
+
+
+def test_symbol_with_two_arities_is_refused_before_the_search():
+    """The inference rules compare heads only: two terms with the same head
+    have the same arity, because prove refuses a theory that uses a
+    symbol with two arities before its first given clause."""
+    x, a = var("x"), ("a",)
+    th = Theory(assumptions=[("atom", ("=", ("f", x), a))],
+                goals=[("atom", ("=", ("f", a, a), a))])
+    asked = []
+    with pytest.raises(TheoryError, match="conflicting arity"):
+        prove(th, ProverLimits(max_given=10), lambda: asked.append(1))
+    assert asked == []
 
 
 def test_no_exhaustion_with_non_unit_equations():
