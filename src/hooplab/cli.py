@@ -138,6 +138,10 @@ def _run_prover(theory, args, out, proof_sink):
 
 def cmd_prove(args, out):
     theory = _load_theory(args.files)
+    if args.proof_out and len(theory.goals) > 1:
+        # a proof file holds one proof: each proof numbers its steps from 1
+        raise UsageError("--proof-out takes one goal, not %d"
+                         % len(theory.goals))
     proofs = []
     code = _run_prover(theory, args, out, proofs)
     if args.proof_out and proofs:

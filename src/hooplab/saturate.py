@@ -1096,6 +1096,8 @@ def verify_proof(theory, proof: Proof):
         return by_id[i].clause
 
     for step in proof.steps:
+        if step.id in by_id or step.id in goal_ids:
+            return False, "step id %d is used twice" % step.id
         if not step.justification or not all(
                 map(_well_formed, step.justification)):
             return False, "step %d: malformed justification" % step.id

@@ -37,6 +37,34 @@ to isomorphic models extending them.  So if the first fresh value has no
 model, or was removed, no fresh value has one.  The bound does not depend
 on the cell order.
 
+Up to isomorphism, the search also cuts a decision value by lex-leader
+symmetry breaking (Crawford, Ginsberg, Luks and Roy, KR 1996), checked
+during the search as in SEM and Mace4 (the transposition cut, _tied).
+After each propagation that succeeds, and once after the root pass, the
+partial tables are compared with their image under each transposition
+(a b) of two elements, cell by cell along the order: the image's cell
+takes the value of the cell that (a b) moves there, relabelled by (a b)
+for constants and functions, kept for relations.  The walk stops at the
+first cell where either of the two is unassigned, and the next decision's
+walk resumes there.  If the image is smaller at the first difference, the
+value is cut; if larger, that transposition is dropped for the whole
+subtree.  So a frame carries at most n(n-1)/2 transpositions still tied,
+and no table of the n! permutations is built.
+
+Neither rule changes what is emitted.  Depth-first search with ascending
+values reaches leaves in the lexicographic order of their cells along the
+order, since every cell before the one being decided is assigned.  Let L
+be the lex-least member of a class of models; propagation removes no
+model.  The least-number heuristic never cuts L: were L to put v > m + 1
+at a decision, m being the largest element mentioned, then t = (m+1 v)
+fixes the decisions and the cell decided, so t(L) extends the decisions,
+agrees with L on every cell propagation assigned and so on every cell
+before that decision, and is smaller there, against L being least.  The
+transposition cut cuts only a subtree where every completion M has
+t(M) < M for some t, so no M there is least in its class.  So L is
+reached, and is the first leaf of its class: the models emitted and their
+order stay the same, and only the SearchStats counts move.
+
 Goals put the search in counterexample mode: emitted models must falsify at
 least one goal.  Functions and relations that an assumption defines (see
 Theory.definitions: f(x, ...) = term like cup, R(x, ...) <-> formula like
@@ -54,9 +82,9 @@ from __future__ import annotations
 
 import time
 from functools import partial
-from itertools import product
+from itertools import combinations, product
 
-from .model import FiniteModel, canonical_key, unflatten
+from .model import FiniteModel, _relabelled_cells, canonical_key, unflatten
 from .terms import VAR, clausify, formula_symbols, term_vars
 
 
@@ -68,15 +96,18 @@ class SearchStats:
     """How far a search got: values tried at decision points, those that
     failed in propagation, values removed from cell domains, complete
     assignments reached (leaves), leaves dropped as isomorphic copies of
-    an earlier leaf (duplicates, only up to isomorphism), and leaves that
-    failed the leaf check (rejected)."""
+    an earlier leaf (duplicates, only up to isomorphism), leaves that
+    failed the leaf check (rejected), and values that propagated but were
+    cut because a transposition of two elements makes the partial tables
+    lexicographically smaller (cut, only up to isomorphism; not counted
+    in conflicts)."""
 
     __slots__ = ("decisions", "conflicts", "eliminated", "leaves",
-                 "duplicates", "rejected")
+                 "duplicates", "rejected", "cut")
 
     def __init__(self):
         self.decisions = self.conflicts = self.eliminated = self.leaves = 0
-        self.duplicates = self.rejected = 0
+        self.duplicates = self.rejected = self.cut = 0
 
 
 class SearchLimit(Exception):
@@ -140,6 +171,21 @@ class _Searcher:
         # largest argument of each cell along the order, for least-number
         # pruning
         self.arg_max = [key[2] for key in keys]
+        # up to isomorphism, one walk along the order per transposition
+        # (a b) of two elements, for the transposition cut: each position's
+        # cell, the cell the transposition moves to it and the map of its
+        # value (relation values stay)
+        self.walks = []
+        if opts.upto_iso:
+            same = list(range(self.n))
+            for a, b in combinations(range(self.n), 2):
+                swap = same[:]
+                swap[a], swap[b] = b, a
+                src = [self.base[s] + j for s, ar in funs + rels
+                       for j in _relabelled_cells(self.n, swap, ar)]
+                self.walks.append([(c, src[c],
+                                    same if self.is_rel_cell[c] else swap)
+                                   for c in self.order])
 
         # split assumptions into propagated clauses and leaf formulas
         self.leaf_formulas = []
@@ -272,6 +318,9 @@ class _Searcher:
         # removes is never undone
         if not self._propagate(None, None, vals, watch, [], [], []):
             return
+        tied = self._tied([(t, 0) for t in range(len(self.walks))], vals)
+        if tied is None:
+            return
 
         deadline = (time.monotonic() + self.opts.max_seconds
                     if self.opts.max_seconds else None)
@@ -279,17 +328,18 @@ class _Searcher:
         dom = self.dom
         is_rel = self.is_rel_cell
         # one frame per decision: (pos, values left to try, mentioned,
-        # trail, wlog, dtrail).  mentioned is the largest element that the
-        # decisions before it and the cell's own arguments mention, which
-        # bounds the values tried (what propagation assigned does not count,
-        # see the module docstring); trail holds the cells the frame's
-        # current value assigned (the decision cell plus every cell
-        # propagation assigned), wlog its watch-list additions and dtrail
-        # (cell, old domain) for every domain it narrowed, all undone LIFO
-        # before the next value.
+        # tied, trail, wlog, dtrail).  mentioned is the largest element
+        # that the decisions before it and the cell's own arguments mention,
+        # which bounds the values tried (what propagation assigned does not
+        # count, see the module docstring); tied lists the transpositions
+        # still tied before the decision (see _tied); trail holds the cells
+        # the frame's current value assigned (the decision cell plus every
+        # cell propagation assigned), wlog its watch-list additions and
+        # dtrail (cell, old domain) for every domain it narrowed, all undone
+        # LIFO before the next value.
         stack = []
 
-        def push(pos, mentioned):
+        def push(pos, mentioned, tied):
             """Open a frame on the first cell from pos on that has no
             value; False when there is none, that is at a leaf."""
             while pos < self.cell_count and vals[order[pos]] is not None:
@@ -298,10 +348,10 @@ class _Searcher:
                 return False
             mentioned = max(mentioned, self.arg_max[pos])
             stack.append((pos, iter(self._domain(order[pos], mentioned)),
-                          mentioned, [], [], []))
+                          mentioned, tied, [], [], []))
             return True
 
-        if not push(0, -1):
+        if not push(0, -1, tied):
             stats.leaves += 1
             yield vals
         ticks = 0
@@ -310,7 +360,7 @@ class _Searcher:
             if deadline is not None and not ticks & 1023 \
                     and time.monotonic() > deadline:
                 raise SearchLimit("max_seconds", stats)
-            pos, it, mentioned, trail, wlog, dtrail = stack[-1]
+            pos, it, mentioned, tied, trail, wlog, dtrail = stack[-1]
             for b in reversed(wlog):
                 watch[b].pop()
             wlog.clear()
@@ -328,8 +378,13 @@ class _Searcher:
             cell = order[pos]
             if not self._propagate(cell, v, vals, watch, wlog, trail, dtrail):
                 stats.conflicts += 1
+                continue
+            sub = self._tied(tied, vals) if tied else tied
+            if sub is None:
+                stats.cut += 1
             elif not push(pos + 1,
-                          mentioned if is_rel[cell] else max(mentioned, v)):
+                          mentioned if is_rel[cell] else max(mentioned, v),
+                          sub):
                 stats.leaves += 1
                 yield vals
         # loop leaves root-assigned vals set; harmless, search is over
@@ -344,6 +399,36 @@ class _Searcher:
             # lost that one (then none of them has a model)
             top = min(top, mentioned + 2)
         return [v for v in range(top) if d >> v & 1]
+
+    def _tied(self, tied, vals):
+        """The transpositions of tied, as (walk index, position) pairs,
+        that the partial tables vals still tie with from that position on,
+        each with the position it stopped at; None when one of them makes
+        the tables lexicographically smaller (the transposition cut).
+
+        A walk stops at the first position where the cell or the cell it
+        takes its value from is unassigned, and resumes there below this
+        decision; at the first difference, a smaller relabelled value cuts
+        and a larger one drops the transposition for the whole subtree."""
+        walks = self.walks
+        out = []
+        for t, p in tied:
+            walk = walks[t]
+            end = len(walk)
+            while p < end:
+                c, s, relabel = walk[p]
+                x = vals[c]
+                y = vals[s]
+                if x is None or y is None:
+                    out.append((t, p))
+                    break
+                y = relabel[y]
+                if y != x:
+                    if y < x:
+                        return None
+                    break
+                p += 1
+        return out
 
     def _propagate(self, cell, value, vals, watch, wlog, trail, dtrail):
         """Assign cell := value and propagate to a fixed point; with cell

@@ -234,6 +234,46 @@ def test_proof_out_written_only_for_a_proof(tmp_path):
     assert not proof.exists()
 
 
+TWO_GOALS = ["x cup (x cup x) = x", "x cup (y cup x) = x cup y"]
+
+
+def _goal_file(path, goals):
+    path.write_text('op(500, infix, "cup").\nformulas(goals).\n%s'
+                    'end_of_list.\n' % "".join("   %s.\n" % g for g in goals))
+    return str(path)
+
+
+def test_proof_out_takes_one_goal(tmp_path, monkeypatch):
+    # a proof file holds one proof: two goals are a usage error before any
+    # search, and two proofs pasted into one file are rejected, since each
+    # numbers its steps from 1
+    from hooplab import saturate
+    both = _goal_file(tmp_path / "two.gl", TWO_GOALS)
+    proof = tmp_path / "p.txt"
+    texts = []
+    for goal in TWO_GOALS:
+        code, _ = run("prove", "-f", "semilattice.ax",
+                      _goal_file(tmp_path / "one.gl", [goal]),
+                      "--proof-out", str(proof))
+        assert code == 0
+        texts.append(proof.read_text())
+    proof.write_text("".join(texts))
+    code, out = run("verify", "--proof", str(proof),
+                    "-f", "semilattice.ax", both)
+    assert (code, out.splitlines()) == (
+        1, ["PROOF REJECTED", "# step id 1 is used twice"])
+
+    def no_search(*args):
+        raise AssertionError("the prover ran")
+
+    monkeypatch.setattr(saturate, "prove", no_search)
+    proof.unlink()
+    code, out = run("prove", "-f", "semilattice.ax", both,
+                    "--proof-out", str(proof))
+    assert (code, out) == (3, "")
+    assert not proof.exists()
+
+
 def test_mine(tmp_path):
     proof = tmp_path / "p.txt"
     run("prove", "-f", data("hoop.ax"), data("hoop-ax6.gl"),

@@ -232,6 +232,16 @@ def test_verify_rejects_malformed_proof_objects():
         assert not ok and report.startswith("step 5: ")
 
 
+def test_verify_rejects_a_repeated_step_id():
+    # two proofs in one file each number their steps from 1; a later step
+    # must not take the place of an earlier one with the same id
+    th = with_goal(SL, "x cup (x cup x) = x")
+    proof = prove(th, ProverLimits(max_given=10)).proof
+    assert verify_proof(th, proof) == (True, "ok")
+    assert verify_proof(th, Proof(proof.steps + proof.steps)) == (
+        False, "step id %d is used twice" % proof.steps[0].id)
+
+
 def test_verify_rejects_factor_of_one_literal():
     # factoring a literal with itself would drop it: this "proves" c = d
     # from a = b | c = d
