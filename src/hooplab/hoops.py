@@ -9,7 +9,7 @@ They are written down once, in data/hoop-ge-def.ax and data/hoop-defs.ax.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .model import FiniteModel, ModelError
 from .syntax import (Theory, TheoryError, data_text, parse_source,
@@ -106,6 +106,11 @@ def ordinal_sum(h1: FiniteModel, h2: FiniteModel) -> FiniteModel:
     """
     _require_hoop(h1)
     _require_hoop(h2)
+    return _glue(h1, h2)
+
+
+def _glue(h1: FiniteModel, h2: FiniteModel) -> FiniteModel:
+    """ordinal_sum of two hoops, without checking that they are."""
     h1 = _zero_first(h1)
     h2 = _zero_first(h2)
     n1, n2 = h1.size, h2.size
@@ -145,13 +150,14 @@ def _zero_first(h: FiniteModel) -> FiniteModel:
 
 
 def ordinal_sum_many(hs) -> FiniteModel:
+    """The ordinal sum of hs, the first at the bottom: the left fold of
+    ordinal_sum, and the trivial hoop when hs is empty.  Each operand is
+    checked once; an ordinal sum of hoops is a hoop, so the sum glued so
+    far needs no check."""
     hs = list(hs)
-    if not hs:
-        return trivial_hoop()
-    acc = hs[0]
-    for h in hs[1:]:
-        acc = ordinal_sum(acc, h)
-    return acc
+    for h in hs:
+        _require_hoop(h)
+    return reduce(_glue, hs) if hs else trivial_hoop()
 
 
 def direct_product(h1: FiniteModel, h2: FiniteModel) -> FiniteModel:

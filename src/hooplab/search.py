@@ -10,8 +10,13 @@ grow one at a time.
 
 Each assumption clause is compiled to one generated Python checker whose
 parameters are the clause's variables; a ground instance is that checker
-with the variables bound (_compile).  It answers satisfied, conflict, the
-cell its evaluation is blocked on, or that it is down to one unknown cell.
+with the variables bound (_compile).  The checkers read the tables' first
+cells and the strides n, n**2, ... from the function that binds them to
+a search, so their source does not depend on the domain size, and a clause
+set is compiled once per process for every size it is searched at
+(_checkers, memoized on the clauses).  A checker answers satisfied,
+conflict, the cell its evaluation is blocked on, or that it is down to one
+unknown cell.
 Each instance watches the cell it is blocked on and is re-checked when that
 cell gets a value; conflicts prune the branch.  An instance found satisfied
 is looked at again only once that cell has been unassigned, so satisfied
@@ -75,13 +80,15 @@ symbol are checked (the leaf check).
 Up to isomorphism, each leaf is keyed by model.canonical_key straight from
 the searched tables' cells, and copies of a key already seen are dropped;
 so extend and the leaf check run once per isomorphism class, not once per
-leaf.  The labelled search builds and checks every leaf.
+leaf.  Without defined symbols, the relabelling that comes with the key
+also gives the emitted canonical form.  The labelled search builds and
+checks every leaf.
 """
 
 from __future__ import annotations
 
 import time
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations, product
 
 from .model import FiniteModel, _relabelled_cells, canonical_key, unflatten
@@ -201,82 +208,18 @@ class _Searcher:
         self.checkers = self._compile(clauses)
 
     def _compile(self, clauses):
-        """Compile each clause to one checker function and bind its ground
-        instances.
+        """The ground instances of the clauses' checkers at this size.
 
-        Clause K becomes ``chkK(a0, a1, ..., vals)``, the parameters being
-        its variables in name order, and each instance is
-        ``partial(chkK, *values)``: one generated function per clause, not
-        per instance.  The body is written in one post-order walk over each
-        literal's terms: every table lookup becomes ``tK = vals[cell]``,
-        with the cell index a number for a constant and computed into
-        ``cK`` from the arguments otherwise.  An unassigned lookup counts in
-        ``nb``, the first such cell goes to ``b``, and the rest of its
-        literal is skipped; a literal whose lookups all succeed is
-        evaluated, and a true one returns at once.
-
-        checker(vals) -> -2 satisfied, -1 conflict, a cell id >= 0 the
-        evaluation is blocked on when more than one lookup is blocked, or
-        -3 - c when exactly one lookup is blocked, on cell c; trying c's
-        values one by one then tells which of them the instance rules out.
-        """
-        n, base = self.n, self.base
-        lines = []
-
-        def put(text):
-            lines.append("    " * depth + text)
-
-        def lookup(name, args):
-            # one table lookup; code after it runs only when it succeeded
-            nonlocal depth, tmp
-            if args:
-                cell = "c%d" % tmp
-                put("%s = %s" % (cell, " + ".join([str(base[name])] + [
-                    a if i + 1 == len(args)
-                    else "%d*%s" % (n ** (len(args) - 1 - i), a)
-                    for i, a in enumerate(args)])))
-            else:
-                cell = str(base[name])
-            t = "t%d" % tmp
-            tmp += 1
-            put("%s = vals[%s]" % (t, cell))
-            put("if %s is None:" % t)
-            put("    nb += 1")
-            put("    if b < 0: b = %s" % cell)
-            put("else:")
-            depth += 1
-            return t
-
-        def term(t):
-            # post-order: the arguments' lookups come before the root's
-            if t[0] == VAR:
-                return env[t[1]]
-            return lookup(t[0], [term(a) for a in t[1:]])
-
-        arities = []
-        for k, clause in enumerate(clauses):
-            names = sorted({v for _, a in clause for t in a[1:]
-                            for v in term_vars(t)})
-            env = {v: "a%d" % i for i, v in enumerate(names)}
-            arities.append(len(names))
-            lines += ["def chk%d(%s):" % (k, ", ".join(
-                          [env[v] for v in names] + ["vals"])),
-                      "    b = -1", "    nb = 0"]
-            tmp = 0
-            for pol, atom in clause:
-                depth = 1
-                if atom[0] == "=":
-                    cond = "%s == %s" % (term(atom[1]), term(atom[2]))
-                else:
-                    cond = lookup(atom[0], [term(a) for a in atom[1:]])
-                put("if %s%s: return -2" % ("" if pol else "not ", cond))
-            lines += ["    if nb == 0: return -1",
-                      "    if nb == 1: return -3 - b",
-                      "    return b"]
-        ns = {}
-        exec("\n".join(lines), ns)  # noqa: S102 - generated from terms only
-        return [partial(ns["chk%d" % k], *values)
-                for k, arity in enumerate(arities)
+        ``bind(B0, B1, ..., n1, n2, ...)`` from _checkers is called once,
+        with Bi = base[symbols[i]] and nk = n**k, and returns one
+        ``chkK(a0, a1, ..., vals)`` per clause; the instance for the
+        variable values v0, v1, ... is ``partial(chkK, v0, v1, ...)``."""
+        symbols, top, bind, arities = _checkers(tuple(clauses))
+        n = self.n
+        checkers = bind(*[self.base[s] for s in symbols],
+                        *[n ** k for k in range(1, top)])
+        return [partial(chk, *values)
+                for chk, arity in zip(checkers, arities)
                 for values in product(range(n), repeat=arity)]
 
     # ---- search
@@ -287,13 +230,14 @@ class _Searcher:
         isomorphism class.  The defined tables are computed from the
         searched ones, so keys of the searched tables alone split the
         leaves into the same classes, and the leaf check passes or fails
-        for a whole class at once."""
+        for a whole class at once.  Without defined tables, the
+        relabelling that gave the leaf its key gives its canonical form."""
         stats = self.stats
         upto_iso = self.opts.upto_iso
         seen = set()
         for vals in self.run():
             if upto_iso:
-                key = self._key(vals)
+                key, perm = self._labeling(vals)
                 if key in seen:
                     stats.duplicates += 1
                     continue
@@ -301,8 +245,13 @@ class _Searcher:
             m = self._leaf_model(vals)
             if m is None:
                 stats.rejected += 1
+            elif not upto_iso:
+                yield m
+            elif self.defs:
+                # the defined tables can order the classes differently
+                yield m.canonical_form()
             else:
-                yield m.canonical_form() if upto_iso else m
+                yield m.permuted(perm)
 
     def run(self):
         """The cells at every leaf in search order, isomorphic copies
@@ -492,15 +441,15 @@ class _Searcher:
                     queue.append((c, left.bit_length() - 1))
         return True
 
-    def _key(self, vals):
-        """The canonical key of _searched_model(vals), read from the
-        cells."""
+    def _labeling(self, vals):
+        """The canonical labeling (key, perm) of _searched_model(vals),
+        read from the cells."""
         n, base = self.n, self.base
         return canonical_key(
             n, [vals[base[s]] for s, a in self.fun_syms if a == 0],
             [(vals[base[s]:base[s] + n ** a], a) for s, a in self.fun_syms
              if a],
-            [(vals[base[s]:base[s] + n ** a], a) for s, a in self.rel_syms])[0]
+            [(vals[base[s]:base[s] + n ** a], a) for s, a in self.rel_syms])
 
     def _searched_model(self, vals):
         """The model of the searched tables' cells, without the defined
@@ -524,6 +473,107 @@ class _Searcher:
                                      for g in self.theory.goals):
             return None
         return m
+
+
+# clause sets whose checkers are kept compiled, a bound on the memory they
+# hold: the builtin theories make four, and a search of a clause set
+# compiled before only binds its instances
+_COMPILED_CLAUSE_SETS = 32
+
+
+@lru_cache(maxsize=_COMPILED_CLAUSE_SETS)
+def _checkers(clauses):
+    """Compile the tuple clauses to checkers for every domain size:
+    (symbols, top, bind, arities), symbols being the table symbols the
+    clauses mention, top their highest arity, and arities the number of
+    variables of each clause.
+
+    ``bind(B0, B1, ..., n1, n2, ...)`` takes the first cell Bi of
+    symbols[i]'s table and the stride nk = n**k for each k < top, and
+    returns one ``chkK(a0, a1, ..., vals)`` per clause K, its parameters
+    being the clause's variables in name order: one generated function per
+    clause, not per instance or per size, whose instances bind all but
+    vals (_Searcher._compile).  The first cells and strides are bind's
+    parameters, not the checkers': so an instance binds only its variable
+    values, and a call passes as few arguments as a checker written for
+    one size would take.  The body is written in one post-order walk over
+    each literal's terms: every table lookup becomes ``tK = vals[cell]``,
+    with the cell index the table's first cell for a constant and computed
+    into ``cK`` from it, the strides and the arguments otherwise.  An
+    unassigned lookup counts in ``nb``, the first such cell goes to ``b``,
+    and the rest of its literal is skipped; a literal whose lookups all
+    succeed is evaluated, and a true one returns at once.
+
+    checker(vals) -> -2 satisfied, -1 conflict, a cell id >= 0 the
+    evaluation is blocked on when more than one lookup is blocked, or
+    -3 - c when exactly one lookup is blocked, on cell c; trying c's
+    values one by one then tells which of them the instance rules out.
+    """
+    symbols = {}  # table symbol -> its position among the B parameters
+    top = 0
+    lines = []
+
+    def put(text):
+        lines.append("    " * depth + text)
+
+    def lookup(name, args):
+        # one table lookup; code after it runs only when it succeeded
+        nonlocal depth, tmp, top
+        base = "B%d" % symbols.setdefault(name, len(symbols))
+        top = max(top, len(args))
+        if args:
+            cell = "c%d" % tmp
+            put("%s = %s" % (cell, " + ".join([base] + [
+                a if i + 1 == len(args)
+                else "n%d*%s" % (len(args) - 1 - i, a)
+                for i, a in enumerate(args)])))
+        else:
+            cell = base
+        t = "t%d" % tmp
+        tmp += 1
+        put("%s = vals[%s]" % (t, cell))
+        put("if %s is None:" % t)
+        put("    nb += 1")
+        put("    if b < 0: b = %s" % cell)
+        put("else:")
+        depth += 1
+        return t
+
+    def term(t):
+        # post-order: the arguments' lookups come before the root's
+        if t[0] == VAR:
+            return env[t[1]]
+        return lookup(t[0], [term(a) for a in t[1:]])
+
+    arities = []
+    for k, clause in enumerate(clauses):
+        names = sorted({v for _, a in clause for t in a[1:]
+                        for v in term_vars(t)})
+        env = {v: "a%d" % i for i, v in enumerate(names)}
+        arities.append(len(names))
+        lines += ["    def chk%d(%s):" % (k, ", ".join(
+                      [env[v] for v in names] + ["vals"])),
+                  "        b = -1", "        nb = 0"]
+        tmp = 0
+        for pol, atom in clause:
+            depth = 2
+            if atom[0] == "=":
+                cond = "%s == %s" % (term(atom[1]), term(atom[2]))
+            else:
+                cond = lookup(atom[0], [term(a) for a in atom[1:]])
+            put("if %s%s: return -2" % ("" if pol else "not ", cond))
+        lines += ["        if nb == 0: return -1",
+                  "        if nb == 1: return -3 - b",
+                  "        return b"]
+    # bind's parameters are known once every clause is written
+    lines.insert(0, "def bind(%s):" % ", ".join(
+        ["B%d" % i for i in range(len(symbols))]
+        + ["n%d" % k for k in range(1, top)]))
+    lines.append("    return [%s]" % ", ".join(
+        "chk%d" % k for k in range(len(clauses))))
+    ns = {}
+    exec("\n".join(lines), ns)  # noqa: S102 - generated from terms only
+    return tuple(symbols), top, ns["bind"], tuple(arities)
 
 
 def enumerate_models(theory, opts: SearchOptions, stats: SearchStats = None):

@@ -1,6 +1,8 @@
 """Hoop domain layer: builtin theories, constructions, derived tables,
 linear decomposition, nomenclature."""
 
+from functools import reduce
+
 import pytest
 
 from hooplab import hoops
@@ -10,7 +12,7 @@ from hooplab.hoops import (
     is_hoop, is_linear, linear_index_set, lukasiewicz, name_property,
     ordinal_sum, ordinal_sum_many, parse_hoop_term, trivial_hoop,
 )
-from hooplab.model import isomorphic, serialize_model
+from hooplab.model import FiniteModel, ModelError, isomorphic, serialize_model
 from hooplab.search import SearchOptions, enumerate_models
 from hooplab.syntax import TheoryError, parse_formula_text
 
@@ -54,6 +56,37 @@ def test_ordinal_sum_preserves_hoopness():
     for a in (2, 3):
         for b in (2, 3):
             assert is_hoop(ordinal_sum(lukasiewicz(a), lukasiewicz(b)))
+
+
+def test_ordinal_sum_many_checks_every_operand():
+    # L_3 with its top moved to the middle element is not a hoop
+    l3 = lukasiewicz(3)
+    bad = FiniteModel(3, {"0": 0, "1": 1}, dict(l3.fun_tables))
+    assert not is_hoop(bad)
+    for hs in ([bad], [bad, l3, l3], [l3, bad, l3], [l3, l3, bad]):
+        with pytest.raises(ModelError):
+            ordinal_sum_many(hs)
+
+
+def test_ordinal_sum_many_is_the_left_fold_of_ordinal_sum():
+    # every sequence of chains L_2..L_6 and the non-linear L_2 x L_2 whose
+    # ordinal sum has at most 6 elements
+    operands = [lukasiewicz(k) for k in range(2, 7)] + [
+        direct_product(lukasiewicz(2), lukasiewicz(2))]
+
+    def sequences(room):
+        yield []
+        for h in operands:
+            if h.size - 1 <= room:
+                for rest in sequences(room - h.size + 1):
+                    yield [h] + rest
+
+    seen = 0
+    for hs in sequences(5):
+        if hs:
+            assert ordinal_sum_many(hs) == reduce(ordinal_sum, hs)
+            seen += 1
+    assert seen == 31 + 8  # chains alone, and with L_2 x L_2
 
 
 def test_direct_product():

@@ -7,11 +7,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import hooplab.model
+import hooplab.search
 from hooplab.hoops import builtin_theory, derived_tables, is_hoop, lukasiewicz
-from hooplab.model import isomorphic, serialize_model
+from hooplab.model import canonical_key, isomorphic, serialize_model
 from hooplab.search import (
-    SearchError, SearchLimit, SearchOptions, SearchStats, _Searcher,
-    count_models, enumerate_models, isofilter,
+    SearchError, SearchLimit, SearchOptions, SearchStats, _checkers,
+    _Searcher, count_models, enumerate_models, isofilter,
 )
 from hooplab.syntax import parse_formula_text, parse_source
 
@@ -132,14 +134,15 @@ def test_least_number_pruning_keeps_every_class(name):
 
 @pytest.mark.parametrize("name", BUILTINS)
 def test_cell_key_is_the_searched_tables_key(name):
-    # up to isomorphism, leaves are keyed from the cells; that key must be
-    # the canonical key of the model of the searched tables
+    # up to isomorphism, leaves are keyed from the cells; that key and its
+    # relabelling must be the canonical labeling of the model of the
+    # searched tables
     th = builtin_theory(name)
     for n in range(1, 4 if name == "pocrim" else 5):
         searcher = _Searcher(th, SearchOptions(n))
         for vals in searcher.run():
-            assert searcher._key(vals) == \
-                searcher._searched_model(vals).canonical_labeling()[0]
+            assert searcher._labeling(vals) == \
+                searcher._searched_model(vals).canonical_labeling()
 
 
 def _check_hoops(n, classes, linear_classes):
@@ -290,6 +293,104 @@ def test_model_sequences_are_pinned():
     assert count == 824
     assert digest.hexdigest() == (
         "b72fb02bac4e6595cb34df9cdab1c4f67523cca1eba874c4882ba59e16adcb4f")
+
+
+def test_a_clause_set_is_compiled_once_for_every_size():
+    # hoop_defs searches hoop's clauses: its definitions are computed
+    _checkers.cache_clear()
+    for n in range(1, 6):
+        count_models(HOOP, n)
+    count_models(builtin_theory("hoop_defs"), 3)
+    info = _checkers.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
+
+
+def _search(name, n):
+    stats = SearchStats()
+    models = [m.encode() for m in enumerate_models(
+        builtin_theory(name), SearchOptions(n, upto_iso=True), stats)]
+    return models, tuple(getattr(stats, f) for f in stats.__slots__)
+
+
+def test_interleaved_sizes_search_as_each_alone():
+    # three clause sets compiled once, their instances bound at sizes in
+    # mixed order; each search counts and yields what a fresh compile does
+    counts = {"hoop": [1, 1, 2, 5, 10], "hoop_linear": [1, 1, 2, 4, 8],
+              "pocrim": [1, 1, 2, 7]}
+    plan = [("hoop", 4), ("pocrim", 3), ("hoop_linear", 5), ("hoop", 2),
+            ("pocrim", 4), ("hoop", 5), ("hoop_linear", 3), ("pocrim", 1),
+            ("hoop", 3), ("hoop_linear", 4), ("pocrim", 2), ("hoop", 1)]
+    _checkers.cache_clear()
+    interleaved = [_search(name, n) for name, n in plan]
+    assert _checkers.cache_info().misses == 3
+    for (name, n), (models, stats) in zip(plan, interleaved):
+        assert len(models) == counts[name][n - 1], (name, n)
+        _checkers.cache_clear()
+        assert _search(name, n) == (models, stats), (name, n)
+    assert interleaved[plan.index(("hoop", 5))][1] \
+        == (734, 507, 3377, 10, 0, 0, 34)
+    assert interleaved[plan.index(("pocrim", 4))][1] \
+        == (148, 88, 262, 7, 0, 0, 6)
+
+
+TERNARY = """
+formulas(assumptions).
+   g(x, x, y) = y.
+   g(x, y, y) = x.
+   g(x, y, x) = x.
+   r(x, y, z) -> g(x, y, z) = x.
+   g(x, y, z) = x -> r(x, y, z).
+end_of_list.
+"""
+
+
+def test_ternary_tables_at_sizes_up_and_down():
+    # a ternary function and a ternary relation take the strides n**2 and
+    # n; one compile serves every size in either order
+    th = parse_source(TERNARY)
+    assert th.symbols() == {"g": (3, "function"), "r": (3, "relation")}
+    _checkers.cache_clear()
+    runs = []
+    for sizes in ((1, 2, 3), (3, 2, 1)):
+        runs.append({(n, iso): [m.encode() for m in enumerate_models(
+                         th, SearchOptions(n, upto_iso=iso))]
+                     for n in sizes for iso in (False, True)})
+    assert _checkers.cache_info().misses == 1
+    assert runs[0] == runs[1]
+    assert [len(runs[0][n, iso]) for n in (1, 2, 3)
+            for iso in (False, True)] == [1, 1, 1, 1, 729, 138]
+    for m in enumerate_models(th, SearchOptions(3)):
+        assert all(m.satisfies(f) for f in th.assumptions)
+
+
+def test_the_compiled_clause_sets_are_bounded():
+    _checkers.cache_clear()
+    bound = _checkers.cache_info().maxsize
+    for k in range(bound + 1):
+        th = parse_source("formulas(assumptions).\n   f(f(x)) = c%d.\n"
+                          "end_of_list.\n" % k)
+        assert count_models(th, 2) == 1
+    info = _checkers.cache_info()
+    assert (info.currsize, info.misses) == (bound, bound + 1)
+
+
+def test_each_new_class_is_keyed_once(monkeypatch):
+    # hoop defines no symbol, so the key that tells a new class from a
+    # copy also gives its canonical form: one canonical_key call per leaf
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return canonical_key(*args)
+
+    monkeypatch.setattr(hooplab.search, "canonical_key", counted)
+    monkeypatch.setattr(hooplab.model, "canonical_key", counted)
+    stats = SearchStats()
+    models = list(enumerate_models(HOOP, SearchOptions(5, upto_iso=True),
+                                   stats))
+    assert len(models) == stats.leaves == 10
+    assert len(calls) == stats.leaves
+    assert all(m.canonical_form() == m for m in models)
 
 
 def test_determinism():
