@@ -568,11 +568,10 @@ class _State:
         self.ac_symbols = set()     # set by load, from the assumptions
         self.ids = count(1)
         self.steps = {}         # id -> ProofStep, every step ever made
-        # the live clauses: id -> their clause_ix values; active and
-        # passive partition its keys
+        # the live clauses: id -> their clause_ix values; the passive
+        # ones are those not active
         self.live = {}
         self.active = {}        # ids, insertion order (values unused)
-        self.passive = set()    # ids
         self._by_weight = []    # heap of (weight, id); may hold stale ids
         self._by_age = []       # heap of ids; may hold stale ids
         # demodulator entries (seq, id, lhs, rhs, side, ordered): how many
@@ -785,7 +784,6 @@ class _State:
 
     def _install(self, sid, key):
         self.stats.kept += 1
-        self.passive.add(sid)
         heapq.heappush(self._by_weight, (clause_weight(key), sid))
         heapq.heappush(self._by_age, sid)
         for sub in _clause_subterms(key):
@@ -873,7 +871,6 @@ class _State:
         for val in self.live.pop(sid):
             self.clause_ix.remove(val[2], val)
         self.active.pop(sid, None)
-        self.passive.discard(sid)
         self._sites.pop(sid, None)
         clause = self.steps[sid].clause
         for sub in _clause_subterms(clause):
@@ -1000,10 +997,8 @@ class _State:
         while True:
             top = heapq.heappop(heap)
             sid = top if age else top[1]
-            if sid in self.passive:
-                break
-        self.passive.discard(sid)
-        return sid
+            if sid in self.live and sid not in self.active:
+                return sid
 
     def _late(self):
         return self.deadline is not None and time.monotonic() > self.deadline
@@ -1019,7 +1014,7 @@ class _State:
             return Proved(self._reconstruct(c.step_id), stats)
         if self.limits.max_seconds:
             self.deadline = time.monotonic() + self.limits.max_seconds
-        while self.passive:
+        while len(self.live) > len(self.active):
             if self._late():
                 return LimitReached("max_seconds", stats)
             if self.should_stop is not None and self.should_stop():

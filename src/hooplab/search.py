@@ -31,44 +31,34 @@ decision, on the next cell in the fixed order that propagation has not
 assigned; the assignments, watches and domains a decision's propagation
 makes are logged in its frame and undone on backtrack.
 
-Up to isomorphism, a decision tries only the elements that the decisions
-mention (the decided cells' arguments and the values decided for function
-cells, not what propagation assigned), the arguments of the cell being
-decided, and the first fresh element (least-number heuristic).  This is
-sound: propagation only assigns or removes values that every model
-extending the decisions agrees with, so swapping two fresh elements fixes
-the decisions and the cell being decided and maps the models extending them
-to isomorphic models extending them.  So if the first fresh value has no
-model, or was removed, no fresh value has one.  The bound does not depend
-on the cell order.
-
-Up to isomorphism, the search also cuts a decision value by lex-leader
+Up to isomorphism, the search cuts a decision value by lex-leader
 symmetry breaking (Crawford, Ginsberg, Luks and Roy, KR 1996), checked
 during the search as in SEM and Mace4 (the transposition cut, _tied).
-After each propagation that succeeds, and once after the root pass, the
-partial tables are compared with their image under each transposition
+The partial tables are compared with their image under each transposition
 (a b) of two elements, cell by cell along the order: the image's cell
 takes the value of the cell that (a b) moves there, relabelled by (a b)
 for constants and functions, kept for relations.  The walk stops at the
-first cell where either of the two is unassigned, and the next decision's
-walk resumes there.  If the image is smaller at the first difference, the
+first cell where either of the two is unassigned, and the next walk
+resumes there.  If the image is smaller at the first difference, the
 value is cut; if larger, that transposition is dropped for the whole
 subtree.  So a frame carries at most n(n-1)/2 transpositions still tied,
-and no table of the n! permutations is built.
+and no table of the n! permutations is built.  The walks are taken once
+after the root pass and twice per decision: with the decision value
+assigned, before it is propagated, and again after a propagation that
+succeeds, resuming where the first check stopped.  A cut found before
+propagation stands after it, since a walk compares only assigned cells
+and propagation changes none of them; so such a value is cut without
+being propagated.
 
-Neither rule changes what is emitted.  Depth-first search with ascending
-values reaches leaves in the lexicographic order of their cells along the
-order, since every cell before the one being decided is assigned.  Let L
-be the lex-least member of a class of models; propagation removes no
-model.  The least-number heuristic never cuts L: were L to put v > m + 1
-at a decision, m being the largest element mentioned, then t = (m+1 v)
-fixes the decisions and the cell decided, so t(L) extends the decisions,
-agrees with L on every cell propagation assigned and so on every cell
-before that decision, and is smaller there, against L being least.  The
-transposition cut cuts only a subtree where every completion M has
-t(M) < M for some t, so no M there is least in its class.  So L is
-reached, and is the first leaf of its class: the models emitted and their
-order stay the same, and only the SearchStats counts move.
+The cut does not change what is emitted.  Depth-first search with
+ascending values reaches leaves in the lexicographic order of their cells
+along the order, since every cell before the one being decided is
+assigned.  Let L be the lex-least member of a class of models;
+propagation removes no model.  The transposition cut cuts only a subtree
+where every completion M has t(M) < M for some t, so no M there is least
+in its class.  So L is reached, and is the first leaf of its class: the
+models emitted and their order stay the same, and only the SearchStats
+counts move.
 
 Goals put the search in counterexample mode: emitted models must falsify at
 least one goal.  Functions and relations that an assumption defines (see
@@ -104,10 +94,10 @@ class SearchStats:
     failed in propagation, values removed from cell domains, complete
     assignments reached (leaves), leaves dropped as isomorphic copies of
     an earlier leaf (duplicates, only up to isomorphism), leaves that
-    failed the leaf check (rejected), and values that propagated but were
-    cut because a transposition of two elements makes the partial tables
-    lexicographically smaller (cut, only up to isomorphism; not counted
-    in conflicts)."""
+    failed the leaf check (rejected), and values cut because a
+    transposition of two elements makes the partial tables
+    lexicographically smaller, before or after their propagation (cut,
+    only up to isomorphism; not counted in conflicts)."""
 
     __slots__ = ("decisions", "conflicts", "eliminated", "leaves",
                  "duplicates", "rejected", "cut")
@@ -175,9 +165,6 @@ class _Searcher:
         self.cell_count = len(self.is_rel_cell)
         keys.sort()
         self.order = [key[-1] for key in keys]
-        # largest argument of each cell along the order, for least-number
-        # pruning
-        self.arg_max = [key[2] for key in keys]
         # up to isomorphism, one walk along the order per transposition
         # (a b) of two elements, for the transposition cut: each position's
         # cell, the cell the transposition moves to it and the map of its
@@ -275,32 +262,30 @@ class _Searcher:
                     if self.opts.max_seconds else None)
         order = self.order
         dom = self.dom
-        is_rel = self.is_rel_cell
-        # one frame per decision: (pos, values left to try, mentioned,
-        # tied, trail, wlog, dtrail).  mentioned is the largest element
-        # that the decisions before it and the cell's own arguments mention,
-        # which bounds the values tried (what propagation assigned does not
-        # count, see the module docstring); tied lists the transpositions
-        # still tied before the decision (see _tied); trail holds the cells
-        # the frame's current value assigned (the decision cell plus every
-        # cell propagation assigned), wlog its watch-list additions and
-        # dtrail (cell, old domain) for every domain it narrowed, all undone
-        # LIFO before the next value.
+        # one frame per decision: (pos, values left to try, tied, trail,
+        # wlog, dtrail).  The values left are those of the cell's domain
+        # when the frame opens, in ascending order; tied lists the
+        # transpositions still tied before the decision (see _tied); trail
+        # holds the cells the frame's current value assigned (the decision
+        # cell plus every cell propagation assigned), wlog its watch-list
+        # additions and dtrail (cell, old domain) for every domain it
+        # narrowed, all undone LIFO before the next value.
         stack = []
 
-        def push(pos, mentioned, tied):
+        def push(pos, tied):
             """Open a frame on the first cell from pos on that has no
             value; False when there is none, that is at a leaf."""
             while pos < self.cell_count and vals[order[pos]] is not None:
                 pos += 1
             if pos == self.cell_count:
                 return False
-            mentioned = max(mentioned, self.arg_max[pos])
-            stack.append((pos, iter(self._domain(order[pos], mentioned)),
-                          mentioned, tied, [], [], []))
+            d = dom[order[pos]]
+            stack.append((pos, iter([v for v in range(d.bit_length())
+                                     if d >> v & 1]),
+                          tied, [], [], []))
             return True
 
-        if not push(0, -1, tied):
+        if not push(0, tied):
             stats.leaves += 1
             yield vals
         ticks = 0
@@ -309,7 +294,7 @@ class _Searcher:
             if deadline is not None and not ticks & 1023 \
                     and time.monotonic() > deadline:
                 raise SearchLimit("max_seconds", stats)
-            pos, it, mentioned, tied, trail, wlog, dtrail = stack[-1]
+            pos, it, tied, trail, wlog, dtrail = stack[-1]
             for b in reversed(wlog):
                 watch[b].pop()
             wlog.clear()
@@ -325,29 +310,25 @@ class _Searcher:
                 continue
             stats.decisions += 1
             cell = order[pos]
+            if tied:
+                # the cut before propagation: it compares assigned cells
+                # only, which propagation keeps
+                vals[cell] = v
+                tied = self._tied(tied, vals)
+                vals[cell] = None
+                if tied is None:
+                    stats.cut += 1
+                    continue
             if not self._propagate(cell, v, vals, watch, wlog, trail, dtrail):
                 stats.conflicts += 1
                 continue
             sub = self._tied(tied, vals) if tied else tied
             if sub is None:
                 stats.cut += 1
-            elif not push(pos + 1,
-                          mentioned if is_rel[cell] else max(mentioned, v),
-                          sub):
+            elif not push(pos + 1, sub):
                 stats.leaves += 1
                 yield vals
         # loop leaves root-assigned vals set; harmless, search is over
-
-    def _domain(self, cell, mentioned):
-        d = self.dom[cell]
-        top = d.bit_length()
-        if self.opts.upto_iso and not self.is_rel_cell[cell]:
-            # least-number heuristic: the elements above the largest one
-            # mentioned are interchangeable, so trying the first of them
-            # is enough; sound up to isomorphism, also when the domain has
-            # lost that one (then none of them has a model)
-            top = min(top, mentioned + 2)
-        return [v for v in range(top) if d >> v & 1]
 
     def _tied(self, tied, vals):
         """The transpositions of tied, as (walk index, position) pairs,

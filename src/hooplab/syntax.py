@@ -579,12 +579,10 @@ def _render_table(name, table, n, cell):
     """A binary table as rows under a column header; a table of any other
     arity as its entries on one line, in the compact format's row-major
     order."""
+    from .model import _arity, _flat
+
     lines = [" %s :" % name]
-    flat, arity = [table], 0
-    while isinstance(flat[0], tuple):
-        flat = [x for row in flat for x in row]
-        arity += 1
-    if arity == 2:
+    if _arity(table) == 2:
         header = "    %s | %s" % (" " * len(cell(0)),
                                   " ".join(cell(j) for j in range(n)))
         lines.append(header)
@@ -594,5 +592,5 @@ def _render_table(name, table, n, cell):
             lines.append("    %s | %s" % (cell(i),
                                           " ".join(cell(v) for v in table[i])))
     else:
-        lines.append("      %s" % " ".join(cell(v) for v in flat))
+        lines.append("      %s" % " ".join(cell(v) for v in _flat(table)))
     return "\n".join(lines) + "\n"

@@ -67,3 +67,17 @@ def test_import_loads_no_submodule():
          "in sys.modules if m.startswith('hooplab')))"],
         env=env, capture_output=True, text=True, timeout=60)
     assert res.stdout.split() == ["hooplab"], res.stderr
+
+
+def test_readme_library_example_runs():
+    # the README's one Python block, run as written
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as f:
+        blocks = f.read().split("```python\n")[1:]
+    assert len(blocks) == 1
+    ns = {}
+    exec(blocks[0].split("```")[0], ns)  # noqa: S102 - the README's code
+    assert len(ns["models"]) == 5
+    assert ns["decompose_linear"](ns["m"]) == [2, 3]
+    assert ns["out"].status == "proved"
+    assert ns["verify_proof"](ns["problem"], ns["out"].proof) == (True, "ok")

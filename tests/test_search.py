@@ -117,10 +117,9 @@ BUILTINS = ["semilattice", "semilattice_ge", "hoop", "pocrim", "hoop_defs",
 
 @pytest.mark.parametrize("name", BUILTINS)
 def test_least_number_pruning_keeps_every_class(name):
-    # the least-number heuristic, the transposition cut and domain
-    # elimination drop labelled models but no isomorphism class: the
-    # classes of the labelled enumeration are exactly those found up to
-    # isomorphism
+    # the transposition cut and domain elimination drop labelled models
+    # but no isomorphism class: the classes of the labelled enumeration
+    # are exactly those found up to isomorphism
     th = builtin_theory(name)
     for n in range(1, 5 if name == "pocrim" else 6):
         labelled = list(enumerate_models(th, SearchOptions(n)))
@@ -240,7 +239,7 @@ IDENTITIES = [
                     lambda ids: len(ids) > 1 or ids[0] in IDENTITIES[:6]),
        st.integers(2, 4))
 def test_classes_up_to_isomorphism_are_those_of_the_labelled_search(ids, n):
-    # the least-number heuristic and the transposition cut drop no class
+    # the transposition cut drops no class
     th = parse_source("formulas(assumptions).\n%s\nend_of_list.\n"
                       % "\n".join(e + "." for e in ids))
     labelled = enumerate_models(th, SearchOptions(n))
@@ -251,9 +250,9 @@ def test_classes_up_to_isomorphism_are_those_of_the_labelled_search(ids, n):
 
 
 @pytest.mark.parametrize("name,size,upto_iso,pinned", [
-    ("hoop", 5, True, (734, 507, 3377, 10, 0, 0, 34)),
-    ("semilattice", 5, True, (148, 39, 1492, 22, 7, 0, 48)),
-    ("pocrim", 4, True, (148, 88, 262, 7, 0, 0, 6)),
+    ("hoop", 5, True, (749, 443, 2973, 10, 0, 0, 113)),
+    ("semilattice", 5, True, (152, 31, 1288, 22, 7, 0, 60)),
+    ("pocrim", 4, True, (155, 62, 253, 7, 0, 0, 39)),
     ("hoop", 4, False, (2252, 1443, 5314, 108, 0, 0, 0)),
     ("hoop", 1, True, (0, 0, 0, 1, 0, 0, 0)),
     ("pocrim", 1, True, (0, 0, 1, 1, 0, 0, 0)),
@@ -269,6 +268,26 @@ def test_search_is_pinned(name, size, upto_iso, pinned):
                               SearchOptions(size, upto_iso=upto_iso), stats):
         pass
     assert tuple(getattr(stats, f) for f in stats.__slots__) == pinned
+
+
+def test_a_value_cut_before_propagation_is_not_propagated(monkeypatch):
+    # the transposition cut is checked with the decision value assigned
+    # and before it is propagated, so some decisions make no propagation
+    calls = []
+    propagate = _Searcher._propagate
+
+    def counted(self, *args):
+        calls.append(args[0])
+        return propagate(self, *args)
+
+    monkeypatch.setattr(_Searcher, "_propagate", counted)
+    stats = SearchStats()
+    assert sum(1 for _ in enumerate_models(
+        HOOP, SearchOptions(5, upto_iso=True), stats)) == 10
+    decided = [c for c in calls if c is not None]  # the root pass aside
+    assert len(decided) < stats.decisions
+    # each decision left unpropagated was cut
+    assert stats.decisions - len(decided) <= stats.cut
 
 
 def test_model_sequences_are_pinned():
@@ -328,9 +347,9 @@ def test_interleaved_sizes_search_as_each_alone():
         _checkers.cache_clear()
         assert _search(name, n) == (models, stats), (name, n)
     assert interleaved[plan.index(("hoop", 5))][1] \
-        == (734, 507, 3377, 10, 0, 0, 34)
+        == (749, 443, 2973, 10, 0, 0, 113)
     assert interleaved[plan.index(("pocrim", 4))][1] \
-        == (148, 88, 262, 7, 0, 0, 6)
+        == (155, 62, 253, 7, 0, 0, 39)
 
 
 TERNARY = """
