@@ -3,7 +3,9 @@
 The loop keeps a passive and an active clause set.  Each round it selects a
 given clause (four picks out of five by minimal weight, the fifth by age),
 moves it to the active set, and generates paramodulants, resolvents and
-factors between the given clause and the active set.  The goal is denied
+factors between the given clause and the active set.  A pair of clauses
+is resolved once, with the given clause first: the other order makes the
+same resolvents with their literals in another order.  The goal is denied
 with Skolem constants c1, c2, ... named apart from the theory's symbols.
 
 New clauses are simplified by demodulation, checked for tautology and
@@ -11,9 +13,11 @@ forward subsumption, and added to the passive set.  Every positive unit
 equation, input or derived, is a demodulator: one whose sides the LPO
 orders rewrites the larger side to the smaller, one whose sides it cannot
 order rewrites either way on instances that get smaller.  An equation
-whose two readings are variants of each other (x + y = y + x) is indexed
-by its first reading only: the second rewrites exactly as the first does,
-and the first is always tried first.  One test (_State._root_step)
+whose two readings are variants of each other (x + y = y + x) has its
+first reading only (_State._equations_of), as a demodulator, as a
+paramodulation source and as a side to paramodulate into: what the
+second reading makes, the first makes too, up to renaming and the order
+of an equation's sides.  One test (_State._root_step)
 decides whether a demodulator rewrites a term at its root; forward
 demodulation and back-simplification, in which a new demodulator
 simplifies again every live clause it rewrites, both use it.  Forward
@@ -824,23 +828,19 @@ class _State:
         return False
 
     def _maybe_new_demod(self, sid, clause):
-        """Make a positive unit equation a demodulator and back-simplify
-        with it.  One whose sides are incomparable rewrites either way, on
-        instances that decrease (e.g. commutativity sorts arguments), and
-        only by its first reading when the two are variants of each other.
-        No reading rewrites to a variable that its left-hand side lacks."""
-        eqs = self._equations_of(clause)
-        ordered = len(eqs) == 2
-        if ordered and clause == canonical_clause(
-                ((True, ("=", eqs[1][1], eqs[1][2])),)):
-            eqs = eqs[:1]
-        eqs = [e for e in eqs if term_vars(e[2]) <= term_vars(e[1])]
+        """Make a positive unit equation a demodulator, one entry per
+        reading (_equations_of), and back-simplify with it.  A reading
+        whose sides the LPO cannot order rewrites only instances that
+        decrease (e.g. commutativity sorts arguments).  No reading rewrites
+        to a variable that its left-hand side lacks."""
+        eqs = [e for e in self._equations_of(clause)
+               if term_vars(e[2]) <= term_vars(e[1])]
         if not eqs:
             return
         self.stats.demodulators += 1
         seq = self._demod_seq
         self._demod_vals[sid] = vals = [
-            (seq + i, sid, lhs, rhs, side, ordered)
+            (seq + i, sid, lhs, rhs, side, not lpo_gt(lhs, rhs, self.prec))
             for i, (side, lhs, rhs) in enumerate(eqs)]
         for val in vals:
             self.demod_ix.insert(val[2], val)
@@ -885,10 +885,20 @@ class _State:
 
     def _equations_of(self, clause):
         """The readings (_readings) of a positive unit equation, as
-        paramodulation sources and demodulator entries; none for any other
-        clause."""
+        demodulator entries, paramodulation sources and the sides that
+        paramodulation rewrites into; none for any other clause.  An
+        equation whose two readings are variants of each other
+        (x + y = y + x) has its first reading only: what the second makes,
+        the first makes too, up to renaming and the order of an equation's
+        sides."""
         eq = _unit_equation(clause)
-        return [] if eq is None else self._readings(*eq)
+        if eq is None:
+            return []
+        eqs = self._readings(*eq)
+        if len(eqs) == 2 and clause == canonical_clause(
+                ((True, ("=",) + eq[::-1]),)):
+            return eqs[:1]
+        return eqs
 
     def _para_sites(self, sid):
         """Clause sid's readings as a paramodulation source
@@ -906,7 +916,8 @@ class _State:
             for li, (pol, atom) in enumerate(clause):
                 if atom[0] == "=":
                     # superposition restriction: rewrite only the maximal
-                    # sides, both when they are equal
+                    # sides, both when they are equal; for a unit
+                    # equation, its readings' left-hand sides
                     sides = [1 if side == "l" else 2 for side, _, _
                              in eqs or self._readings(atom[1], atom[2])] \
                         or (1, 2)
@@ -1035,7 +1046,6 @@ class _State:
                 if other != given:
                     self._paramodulate(other, given, new)
                     self._resolve(given, other, new)
-                    self._resolve(other, given, new)
             stats.generated += len(new)
             try:
                 for clause, just in new:

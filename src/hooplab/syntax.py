@@ -248,6 +248,11 @@ def _predeclared_symbols(text):
 # ---------------------------------------------------------------------------
 # parser
 
+# the connectives by symbol, and their precedences: the lower binds tighter
+_CONNECTIVE_TAG = {"&": "and", "|": "or", "->": "imp", "<->": "iff"}
+_CONNECTIVE_PREC = {"iff": 4, "imp": 3, "or": 2, "and": 1}
+
+
 class _Parser:
     def __init__(self, toks, ops):
         self.toks = toks
@@ -323,36 +328,22 @@ class _Parser:
 
     RELOPS = ("=", "!=", ">=", "<=")
 
-    def parse_formula(self):
-        return self.parse_iff()
-
-    def parse_iff(self):
-        f = self.parse_imp()
-        if self.at("<->"):
-            self.next()
-            return ("iff", f, self.parse_imp())
-        return f
-
-    def parse_imp(self):
-        f = self.parse_or()
-        if self.at("->"):
-            self.next()
-            return ("imp", f, self.parse_imp())
-        return f
-
-    def parse_or(self):
-        f = self.parse_and()
-        while self.at("|"):
-            self.next()
-            f = ("or", f, self.parse_and())
-        return f
-
-    def parse_and(self):
+    def parse_formula(self, max_prec=4):
+        """A formula whose connectives outside brackets have precedences
+        (_CONNECTIVE_PREC) up to max_prec: & and | group to the left, ->
+        to the right, and <-> takes one operand a side."""
         f = self.parse_unit()
-        while self.at("&"):
+        while True:
+            kind, val, _, _ = self.peek()
+            tag = _CONNECTIVE_TAG.get(val) if kind != "str" else None
+            prec = _CONNECTIVE_PREC.get(tag)
+            if prec is None or prec > max_prec:
+                return f
             self.next()
-            f = ("and", f, self.parse_unit())
-        return f
+            right = self.parse_formula(prec if tag == "imp" else prec - 1)
+            f = (tag, f, right)
+            if tag == "iff":    # a second <-> is left to the caller
+                return f
 
     def parse_unit(self):
         if self.at("-"):
@@ -511,9 +502,6 @@ def render_term(t, theory: Theory, parent_prec=10**9, right=False) -> str:
     return "%s(%s)" % (t[0], ", ".join(render_term(a, theory) for a in t[1:]))
 
 
-_CONNECTIVE_PREC = {"iff": 4, "imp": 3, "or": 2, "and": 1}
-
-
 def render_formula(f, theory: Theory, parent_prec=10**9) -> str:
     tag = f[0]
     if tag == "atom":
@@ -528,7 +516,7 @@ def render_formula(f, theory: Theory, parent_prec=10**9) -> str:
             return "%s != %s" % (render_term(inner[1][1], theory),
                                  render_term(inner[1][2], theory))
         return "-(%s)" % render_formula(inner, theory)
-    symbol = {"and": "&", "or": "|", "imp": "->", "iff": "<->"}[tag]
+    symbol = next(s for s, t in _CONNECTIVE_TAG.items() if t == tag)
     prec = _CONNECTIVE_PREC[tag]
     # an operand of the same connective is bracketed, except the right one
     # of ->, which the parser groups to the right

@@ -1,6 +1,7 @@
 """Hoop domain layer: builtin theories, constructions, derived tables,
 linear decomposition, nomenclature."""
 
+import itertools
 from functools import reduce
 
 import pytest
@@ -88,6 +89,28 @@ def test_ordinal_sum_many_is_the_left_fold_of_ordinal_sum():
             seen += 1
     assert seen == 31 + 8  # chains alone, and with L_2 x L_2
 
+
+
+def test_ordinal_sum_of_relabelled_operands():
+    """An operand whose 0 is not element 0 is relabelled before gluing:
+    with every permutation of each operand, paired with a permutation of
+    the other, the sum is a hoop isomorphic to the sum of the operands as
+    built."""
+    operands = [lukasiewicz(3), direct_product(lukasiewicz(2),
+                                               lukasiewicz(2)),
+                lukasiewicz(2)]
+    moved = 0
+    for h1, h2 in itertools.product(operands, repeat=2):
+        want = ordinal_sum(h1, h2)
+        perms1 = list(itertools.permutations(range(h1.size)))
+        perms2 = list(itertools.permutations(range(h2.size)))
+        for i in range(max(len(perms1), len(perms2))):
+            a = h1.permuted(perms1[i % len(perms1)])
+            b = h2.permuted(perms2[i % len(perms2)])
+            for got in (ordinal_sum(a, b), ordinal_sum_many([a, b])):
+                assert is_hoop(got) and isomorphic(got, want)
+            moved += a.constants["0"] != 0 and b.constants["0"] != 0
+    assert moved > 0
 
 def test_direct_product():
     p = direct_product(lukasiewicz(2), lukasiewicz(2))

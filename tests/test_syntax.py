@@ -135,6 +135,24 @@ def test_conflicting_arity_rejected():
         parse_source(bad)
 
 
+
+def test_operator_redeclared_in_one_text_rejected():
+    text = 'op(500, infix, "cup").\nop(400, infix, "cup").'
+    with pytest.raises(TheoryError, match=r"operator 'cup' redeclared as "
+                       r"\(400, 'infix'\), was \(500, 'infix'\)"):
+        parse_source(text)
+    # the same declaration twice is accepted
+    assert parse_source('op(500, infix, "cup").\n' * 2).declared("cup") \
+        == (500, "infix")
+
+
+def test_operator_used_with_another_arity_rejected():
+    text = ('op(500, infix, "f").\nformulas(assumptions).\n f(x) = x.\n'
+            "end_of_list.")
+    with pytest.raises(TheoryError, match=r"declared operator 'f' used as "
+                       r"\(1, 'function'\)"):
+        parse_source(text)
+
 def test_merge_theories_conflict():
     a = parse_source('op(500, infix, "+").')
     b = parse_source('op(300, infix, "+").')
