@@ -292,7 +292,8 @@ def cmd_check(args, out):
         raise UsageError("unreadable model: %s" % e)
     # the theory's defined symbols that the model leaves out get their
     # tables from their definitions; a table the model has is kept
-    have = {*m.constants, *m.fun_tables, *m.rel_tables}
+    have = {*m.constant_names(), *m.function_names(),
+            *m.relation_names()}
     defs = {name: d for name, d in theory.definitions()[0].items()
             if name not in have}
     missing = sorted(set(theory.symbols()) - have - set(defs))

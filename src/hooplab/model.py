@@ -1,13 +1,26 @@
 """Finite interpretations: evaluation, satisfaction, isomorphism.
 
-Elements are 0..n-1.  Function tables are nested tuples indexed by argument
-(unary: tuple of ints, binary: tuple of row tuples); relation tables hold
-bools.  Models are immutable after construction.
+Elements are 0..n-1.  A model keeps each function and relation table
+flat, as its entries in row-major order beside its arity: the entry of
+f(a, b) is at a*n + b.  Relation entries are bools.  fun_tables and
+rel_tables give the same tables nested, indexed by argument (unary: tuple
+of ints, binary: tuple of row tuples), built on first use.  A table given
+nested is checked and flattened once, when the model is built; a model
+built from another one's flat tables (permuted, extend, the searcher's
+leaves) takes them as they are.  Models are immutable after construction.
 
-Terms and formulas have one evaluator: _term_fn and _formula_fn turn one
-into nested closures over a tuple environment, with the tables bound when
-they are built, and satisfies, counterexample_env, extend and the public
-eval_term, eval_atom and holds all run those closures.
+Terms and formulas have one evaluator: _compiled turns a term or formula
+into one generated Python function per use (a value, the first falsifying
+assignment, or a whole table), the first time that use runs it, and keeps
+it in a cache of bounded size.  The function takes the domain size and
+the flat tables of the symbols it mentions as arguments, so one
+compilation serves every model of every size.  satisfies,
+counterexample_env, extend and the public eval_term, eval_atom and holds
+all run it.  An operand of and, or and -> runs only when the operand
+before it has not decided the value.  A symbol the model does not
+interpret is passed as a table whose every lookup raises ModelError, so it
+fails only when its node is evaluated: a function's lookup t[a*n+b] comes
+after its arguments, and a relation is first sought before them.
 
 Isomorphism has one key, canonical_key, on flat tables; the searcher calls
 it on its cells and FiniteModel.canonical_labeling on a model's tables.
@@ -22,10 +35,10 @@ of its cells in the new labels' row-major order (_relabelled_cells).
 
 from __future__ import annotations
 
-from itertools import filterfalse, permutations, product
-from operator import itemgetter
+from functools import lru_cache
+from itertools import count, permutations, product
 
-from .terms import VAR, formula_vars
+from .terms import VAR, formula_vars, term_vars
 
 
 class ModelError(ValueError):
@@ -45,76 +58,124 @@ class FiniteModel:
             raise ModelError("model size must be >= 1")
         self.size = size
         self.constants = dict(constants or {})
-        self.fun_tables = {k: _freeze(v) for k, v in (fun_tables or {}).items()}
-        self.rel_tables = {k: _freeze(v) for k, v in (rel_tables or {}).items()}
-        self._check()
-
-    def _check(self):
         for name, v in self.constants.items():
-            if not 0 <= v < self.size:
+            if not 0 <= v < size:
                 raise ModelError("constant %s out of range" % name)
-        for name, t in self.fun_tables.items():
-            for v in _flat(t):
-                if not 0 <= v < self.size:
-                    raise ModelError("table %s entry out of range" % name)
+        # name -> (entries in row-major order, arity)
+        self._funs = {k: _flattened(k, t, size, size)
+                      for k, t in (fun_tables or {}).items()}
+        self._rels = {}
+        for k, t in (rel_tables or {}).items():
+            flat, arity = _flattened(k, t, size, 2)
+            self._rels[k] = (tuple(map(bool, flat)), arity)
+        self._fun_tables = self._rel_tables = None
+
+    @classmethod
+    def _from_flat(cls, size, constants, funs, rels):
+        """The model with the given constants and flat (entries, arity)
+        tables, taken as they are: they come from a model already checked,
+        or from the searcher's cells."""
+        m = cls.__new__(cls)
+        m.size, m.constants, m._funs, m._rels = size, constants, funs, rels
+        m._fun_tables = m._rel_tables = None
+        return m
+
+    @property
+    def fun_tables(self):
+        if self._fun_tables is None:
+            self._fun_tables = {k: _nested(flat, arity, self.size)
+                                for k, (flat, arity) in self._funs.items()}
+        return self._fun_tables
+
+    @property
+    def rel_tables(self):
+        if self._rel_tables is None:
+            self._rel_tables = {k: _nested(flat, arity, self.size)
+                                for k, (flat, arity) in self._rels.items()}
+        return self._rel_tables
 
     def constant_names(self):
         return list(self.constants)
 
     def function_names(self):
-        return list(self.fun_tables)
+        return list(self._funs)
 
     def relation_names(self):
-        return list(self.rel_tables)
+        return list(self._rels)
 
     def signature(self):
         return (tuple(self.constants),
-                tuple((k, _arity(t)) for k, t in self.fun_tables.items()),
-                tuple((k, _arity(t)) for k, t in self.rel_tables.items()))
+                tuple((k, a) for k, (_, a) in self._funs.items()),
+                tuple((k, a) for k, (_, a) in self._rels.items()))
 
     # ---- evaluation
 
     def eval_term(self, env, t):
-        return _term_fn(self, t, _positions(env))(tuple(env.values()))
+        return self._value("term", t, env)
 
     def eval_atom(self, env, atom):
-        return _formula_fn(self, ("atom", atom), _positions(env))(
-            tuple(env.values()))
+        return self._value("formula", ("atom", atom), env)
 
     def holds(self, env, f):
-        return _formula_fn(self, f, _positions(env))(tuple(env.values()))
+        return self._value("formula", f, env)
+
+    def _value(self, kind, expr, env):
+        params, slots, value = _compiled("value", kind, expr)
+        args = [env[v] for v in params]
+        for v, x in zip(params, args):
+            if not 0 <= x < self.size:
+                raise ModelError("variable %s = %s out of range" % (v, x))
+        return value(self.size, *self._tables(slots), *args)
 
     def satisfies(self, f):
-        return next(self._falsifying(f)[1], None) is None
+        params, slots, falsified = _compiled("falsified", "formula", f)
+        return falsified(self.size, *self._tables(slots)) is None
 
     def counterexample_env(self, f):
-        names, bad = self._falsifying(f)
-        env = next(bad, None)
-        return None if env is None else dict(zip(names, env))
-
-    def _falsifying(self, f):
-        """The variables of f in name order, and an iterator over the
-        value tuples for them, in product order, under which f fails."""
-        names = sorted(formula_vars(f))
-        test = _formula_fn(self, f, _positions(names))
-        return names, filterfalse(
-            test, product(range(self.size), repeat=len(names)))
+        """The first assignment, in product order over the variables in
+        name order, under which f fails; None when f holds."""
+        params, slots, falsified = _compiled("falsified", "formula", f)
+        bad = falsified(self.size, *self._tables(slots))
+        return None if bad is None else dict(zip(params, bad))
 
     def extend(self, defs):
         """This model with a table appended for each definition of defs,
         a map symbol -> (kind, params, body) as Theory.definitions gives
         it, in order; each body is evaluated with the tables before it."""
         n = self.size
-        m = FiniteModel(n, self.constants, self.fun_tables, self.rel_tables)
+        m = FiniteModel._from_flat(n, dict(self.constants), dict(self._funs),
+                                   dict(self._rels))
         for name, (kind, params, body) in defs.items():
-            tables, compile_fn = ((m.fun_tables, _term_fn)
-                                  if kind == "function"
-                                  else (m.rel_tables, _formula_fn))
-            value = compile_fn(m, body, _positions(params))
-            tables[name] = unflatten(
-                list(map(value, product(range(n), repeat=len(params)))),
-                len(params), n)
+            function = kind == "function"
+            _, slots, table = _compiled(
+                "table", "term" if function else "formula", body,
+                tuple(params))
+            (m._funs if function else m._rels)[name] = (
+                tuple(table(n, *m._tables(slots))), len(params))
         return m
+
+    def _tables(self, slots):
+        """The flat table of each (is relation, name, arity) slot of a
+        compiled expression; a constant's is its value alone."""
+        out = []
+        for rel, name, arity in slots:
+            if rel:
+                kind, entry = "relation", self._rels.get(name)
+            elif arity:
+                kind, entry = "function", self._funs.get(name)
+            else:
+                kind, entry = "constant", (((self.constants[name],), 0)
+                                           if name in self.constants
+                                           else None)
+            if entry is None:
+                out.append(_Uninterpreted("uninterpreted %s %r"
+                                          % (kind, name)))
+            elif entry[1] != arity:
+                out.append(_Uninterpreted("%s %r has arity %d, used with %d"
+                                          % (kind, name, entry[1], arity)))
+            else:
+                out.append(entry[0])
+        return out
 
     # ---- isomorphism
 
@@ -122,27 +183,31 @@ class FiniteModel:
         """Flat tuple encoding: constants (declaration order), then function
         tables in declaration order row-major, then relation tables."""
         out = list(self.constants.values())
-        for t in self.fun_tables.values():
-            out.extend(_flat(t))
-        for t in self.rel_tables.values():
-            out.extend(int(v) for v in _flat(t))
+        for flat, _ in self._funs.values():
+            out.extend(flat)
+        for flat, _ in self._rels.values():
+            out.extend(map(int, flat))
         return tuple(out)
 
     def permuted(self, perm):
         """Image of the model under relabeling i -> perm[i]."""
         n = self.size
+        if sorted(perm) != list(range(n)):
+            raise ModelError("not a permutation of 0..%d" % (n - 1))
         inv = _inverse(perm)
+        cells = {}
 
-        def moved(t):
-            # the entries of t in row-major order of the new labels
-            flat = _flat(t)
-            return [flat[j] for j in _relabelled_cells(n, inv, _arity(t))]
-        return FiniteModel(
+        def moved(flat, arity):
+            # the entries of flat in row-major order of the new labels
+            if arity not in cells:
+                cells[arity] = _relabelled_cells(n, inv, arity)
+            return [flat[j] for j in cells[arity]]
+        return FiniteModel._from_flat(
             n, {k: perm[v] for k, v in self.constants.items()},
-            {k: unflatten([perm[v] for v in moved(t)], _arity(t), n)
-             for k, t in self.fun_tables.items()},
-            {k: unflatten(moved(t), _arity(t), n)
-             for k, t in self.rel_tables.items()})
+            {k: (tuple([perm[v] for v in moved(flat, a)]), a)
+             for k, (flat, a) in self._funs.items()},
+            {k: (tuple(moved(flat, a)), a)
+             for k, (flat, a) in self._rels.items()})
 
     def canonical_form(self):
         """The relabeled copy whose encoding is the canonical key;
@@ -152,11 +217,9 @@ class FiniteModel:
     def canonical_labeling(self):
         """(key, perm): the canonical encoding of the model and a relabeling
         perm with self.permuted(perm).encode() == key; see canonical_key."""
-        return canonical_key(
-            self.size, list(self.constants.values()),
-            [(_flat(t), _arity(t)) for t in self.fun_tables.values()],
-            [([int(v) for v in _flat(t)], _arity(t))
-             for t in self.rel_tables.values()])
+        return canonical_key(self.size, list(self.constants.values()),
+                             list(self._funs.values()),
+                             list(self._rels.values()))
 
     def __eq__(self, other):
         return (isinstance(other, FiniteModel) and self.size == other.size
@@ -285,26 +348,36 @@ def _refined_classes(n, const_vals, funs, rels):
     return classes
 
 
-def _freeze(t):
-    if isinstance(t, (list, tuple)):
-        return tuple(_freeze(x) for x in t)
-    return t
+_ROWS = {tuple, list}
 
 
-def _flat(t):
-    """The entries of a nested table as a flat row-major list."""
+def _flattened(name, t, n, top):
+    """(flat, arity): the entries of the nested table t over {0..n-1} in
+    row-major order, and its depth; ModelError naming the table unless
+    every row at every depth is a tuple or list of n places and every
+    entry is in 0..top-1 (bools count as 0 and 1)."""
     flat = [t]
-    while isinstance(flat[0], tuple):
+    arity = 0
+    while type(flat[0]) in _ROWS:
+        if not _ROWS.issuperset(map(type, flat)) \
+                or set(map(len, flat)) != {n}:
+            raise ModelError("table %s is not made of rows of %d" % (name, n))
         flat = [x for row in flat for x in row]
+        arity += 1
+    if not _ROWS.isdisjoint(map(type, flat)):
+        raise ModelError("table %s is not made of rows of %d" % (name, n))
+    if not set(range(top)).issuperset(flat):
+        raise ModelError("table %s entry out of range 0..%d" % (name, top - 1))
+    return tuple(flat), arity
+
+
+def _nested(flat, arity, n):
+    """The table nested by argument from its row-major entries."""
+    if not arity:
+        return flat[0]
+    for _ in range(arity - 1):
+        flat = tuple(flat[i:i + n] for i in range(0, len(flat), n))
     return flat
-
-
-def _arity(t):
-    a = 0
-    while isinstance(t, tuple):
-        a += 1
-        t = t[0]
-    return a
 
 
 def _inverse(perm):
@@ -324,90 +397,150 @@ def _relabelled_cells(n, inv, arity):
     return idx
 
 
-def _positions(names):
-    """Variable name -> its position in a tuple environment."""
-    return {v: i for i, v in enumerate(names)}
+class _Uninterpreted:
+    """The table passed for a symbol the model does not interpret (or
+    interprets at another arity): every lookup raises ModelError."""
+
+    __slots__ = ("message",)
+
+    def __init__(self, message):
+        self.message = message
+
+    def __getitem__(self, index):
+        raise ModelError(self.message)
 
 
-def _term_fn(m, t, pos):
-    """The term t in m as a function of a tuple environment, which holds
-    variable v at position pos[v].  Tables are looked up here, once; an
-    uninterpreted symbol raises ModelError only when its node is
-    evaluated, after its arguments."""
-    if t[0] == VAR:
-        return itemgetter(pos[t[1]])
-    name, args = t[0], t[1:]
-    if not args:
-        if name not in m.constants:
-            return _raising("uninterpreted constant %r" % name, ())
-        v = m.constants[name]
-        return lambda e: v
-    fns = [_term_fn(m, a, pos) for a in args]
-    table = m.fun_tables.get(name)
-    if table is None:
-        return _raising("uninterpreted function %r" % name, fns)
-    if len(args) == 2:
-        x, y = args
-        if x[0] == VAR and y[0] == VAR:
-            i, j = pos[x[1]], pos[y[1]]
-            return lambda e: table[e[i]][e[j]]
-        f, g = fns
-        return lambda e: table[f(e)][g(e)]
-    if len(args) == 1:
-        f, = fns
-        return lambda e: table[f(e)]
-
-    def apply(e):
-        v = table
-        for f in fns:
-            v = v[f(e)]
-        return v
-    return apply
+# generated functions kept compiled, a bound on the memory they hold: the
+# lemma corpus, the hoop axioms and the hoop definitions make about forty
+_COMPILED_CHECKERS = 512
 
 
-def _formula_fn(m, f, pos):
-    """The formula f in m as a bool-valued function of a tuple
-    environment, as _term_fn; connectives short-circuit, so a symbol in
-    an operand that is never evaluated needs no interpretation."""
-    tag = f[0]
-    if tag == "atom":
-        atom = f[1]
-        if atom[0] == "=":
-            lhs, rhs = (_term_fn(m, t, pos) for t in atom[1:])
-            return lambda e: lhs(e) == rhs(e)
-        table = m.rel_tables.get(atom[0])
-        if table is None:
-            return _raising("uninterpreted relation %r" % atom[0], ())
-        fns = [_term_fn(m, t, pos) for t in atom[1:]]
+@lru_cache(maxsize=_COMPILED_CHECKERS)
+def _compiled(use, kind, expr, params=None):
+    """(params, slots, function): the term or formula expr (kind "term" or
+    "formula") compiled to one generated function for use.
 
-        def rel(e):
-            v = table
-            for g in fns:
-                v = v[g(e)]
-            return bool(v)
-        return rel
-    if tag == "not":
-        a = _formula_fn(m, f[1], pos)
-        return lambda e: not a(e)
-    if tag not in ("and", "or", "imp", "iff"):
-        raise ValueError("unknown formula tag %r" % tag)
-    a, b = (_formula_fn(m, g, pos) for g in f[1:])
-    if tag == "and":
-        return lambda e: a(e) and b(e)
-    if tag == "or":
-        return lambda e: a(e) or b(e)
-    if tag == "imp":
-        return lambda e: not a(e) or b(e)
-    return lambda e: a(e) == b(e)
+    params are the variables, in the order the function binds them: the
+    given tuple, or expr's variables in name order when it is None.  slots
+    lists the tables the function reads, as (is relation, name, arity) in
+    the order of its T parameters; FiniteModel._tables gives them from a
+    model.  By use, the function is
+      value(n, T0, ..., a0, ...): expr's value with params[i] = ai;
+      falsified(n, T0, ...): the first value tuple for params, in product
+        order, under which the formula expr is false, or None;
+      table(n, T0, ...): the list of expr's values over every value tuple,
+        in product order.
 
+    The body is a flat list of statements, so its size, not its depth,
+    grows with expr's.  Every table lookup becomes ``tK = Tj[index]``
+    after the lookups of its arguments, the index being a0*n + a1 for a
+    binary symbol (0 for a constant); a relation without variable-only
+    arguments is first looked up at 0, so that a model that lacks it
+    raises before its arguments are evaluated.  An operand of and, or and
+    -> that the first does not decide gets its statements under a guard:
+    ``if g:`` with g the first operand's value (negated for or), or a
+    ``tK`` that also holds the guard they sit under, so no block nests in
+    another.  The walk recurses once per level of expr, as the parser does.
+    """
+    if params is None:
+        params = tuple(sorted(formula_vars(expr) if kind == "formula"
+                              else term_vars(expr)))
+    names = {v: "a%d" % i for i, v in enumerate(params)}
+    slots = {}
+    lines = []  # (guard expression or None, statement)
+    fresh = count()
 
-def _raising(message, fns):
-    """A node that evaluates fns, then raises ModelError(message)."""
-    def node(e):
-        for g in fns:
-            g(e)
-        raise ModelError(message)
-    return node
+    def table(key):
+        return "T%d" % slots.setdefault(key, len(slots))
+
+    def index(args):
+        idx = args[0] if args else "0"
+        for i, a in enumerate(args[1:]):
+            idx = "%s*n+%s" % (idx if i == 0 else "(%s)" % idx, a)
+        return idx
+
+    def term(t, guard):
+        # the name that holds t's value, its lookups emitted in post-order;
+        # loops, not comprehensions, so a level costs one frame
+        if t[0] == VAR:
+            return names[t[1]]
+        args = []
+        for a in t[1:]:
+            args.append(term(a, guard))
+        tab = table((False, t[0], len(args)))
+        return let(guard, "%s[%s]" % (tab, index(args)))
+
+    def let(guard, value):
+        name = "t%d" % next(fresh)
+        lines.append((guard, "%s = %s" % (name, value)))
+        return name
+
+    def formula(f, guard):
+        # an expression for f's value, over names assigned under guard
+        tag = f[0]
+        if tag == "atom":
+            atom = f[1]
+            if atom[0] == "=":
+                return "%s == %s" % (term(atom[1], guard),
+                                     term(atom[2], guard))
+            tab = table((True, atom[0], len(atom) - 1))
+            if any(a[0] != VAR for a in atom[1:]):
+                lines.append((guard, "%s[0]" % tab))
+            args = []
+            for a in atom[1:]:
+                args.append(term(a, guard))
+            return "%s[%s]" % (tab, index(args))
+        if tag == "not":
+            return let(guard, "not (%s)" % formula(f[1], guard))
+        if tag not in ("and", "or", "imp", "iff"):
+            raise ValueError("unknown formula tag %r" % tag)
+        a = formula(f[1], guard)
+        if not a.isidentifier():
+            a = let(guard, a)
+        if tag == "iff":
+            return let(guard, "%s == (%s)" % (a, formula(f[2], guard)))
+        # the second operand runs only when the first does not decide
+        decides = "not " + a if tag == "or" else a
+        if guard is None:
+            sub = decides
+        else:
+            sub = "t%d" % next(fresh)
+            lines.append((None, "%s = %s and %s" % (sub, guard, decides)))
+        b = formula(f[2], sub)
+        return let(guard, {"and": "%s and %s", "or": "%s or %s",
+                           "imp": "not %s or %s"}[tag] % (a, b))
+
+    result = formula(expr, None) if kind == "formula" else term(expr, None)
+    indent = "    " if use == "value" else "        "
+    body = []
+    block = None
+    for guard, stmt in lines:
+        if guard is None:
+            body.append(indent + stmt)
+        else:
+            if guard != block:
+                body.append(indent + "if %s:" % guard)
+            body.append(indent + "    " + stmt)
+        block = guard
+    tables = ["T%d" % i for i in range(len(slots))]
+    loop = "    for (%s) in product(range(n), repeat=%d):" % (
+        "".join(names[v] + ", " for v in params), len(params))
+    if use == "value":
+        head = ["def value(%s):" % ", ".join(
+            ["n"] + tables + [names[v] for v in params])]
+        tail = ["    return " + result]
+    elif use == "falsified":
+        head = ["def falsified(%s):" % ", ".join(["n"] + tables), loop]
+        tail = ["        if not (%s):" % result,
+                "            return (%s)" % "".join(
+                    names[v] + ", " for v in params)]
+    else:
+        head = ["def table(%s):" % ", ".join(["n"] + tables),
+                "    out = []", "    push = out.append", loop]
+        tail = ["        push(%s)" % result, "    return out"]
+    ns = {"product": product}
+    exec("\n".join(head + body + tail), ns)  # noqa: S102 - from terms only
+    return params, tuple(slots), ns[use]
 
 
 def isomorphic(m1: FiniteModel, m2: FiniteModel):
@@ -433,12 +566,10 @@ def serialize_model(m: FiniteModel) -> str:
     parts = [str(m.size)]
     for k, v in m.constants.items():
         parts.append("fun/0 %s = %d" % (k, v))
-    for k, t in m.fun_tables.items():
-        parts.append("fun/%d %s = %s" % (_arity(t), k,
-                                         ",".join(str(v) for v in _flat(t))))
-    for k, t in m.rel_tables.items():
-        parts.append("rel/%d %s = %s" % (_arity(t), k,
-                                         ",".join(str(int(v)) for v in _flat(t))))
+    for kind, tables in (("fun", m._funs), ("rel", m._rels)):
+        for k, (flat, arity) in tables.items():
+            parts.append("%s/%d %s = %s" % (kind, arity, k,
+                                            ",".join(str(int(v)) for v in flat)))
     return " ; ".join(parts)
 
 
@@ -463,9 +594,7 @@ def deserialize_model(line: str) -> FiniteModel:
         elif kind == "fun":
             funs[name] = unflatten(vals, arity, n)
         elif kind == "rel":
-            if not set(vals) <= {0, 1}:
-                raise ModelError("relation %s entries must be 0 or 1" % name)
-            rels[name] = unflatten([bool(v) for v in vals], arity, n)
+            rels[name] = unflatten(vals, arity, n)
         else:
             raise ModelError("bad model field %r" % p)
     return FiniteModel(n, consts, funs, rels)
@@ -476,9 +605,4 @@ def unflatten(vals, arity, n):
     flat values."""
     if len(vals) != n ** arity:
         raise ModelError("table length %d, expected %d" % (len(vals), n ** arity))
-    it = iter(vals)
-    def build(depth):
-        if depth == arity:
-            return next(it)
-        return tuple(build(depth + 1) for _ in range(n))
-    return build(0)
+    return _nested(tuple(vals), arity, n)

@@ -81,7 +81,7 @@ import time
 from functools import lru_cache, partial
 from itertools import combinations, product
 
-from .model import FiniteModel, _relabelled_cells, canonical_key, unflatten
+from .model import FiniteModel, _relabelled_cells, canonical_key
 from .terms import VAR, clausify, formula_symbols, term_vars
 
 
@@ -435,13 +435,12 @@ class _Searcher:
     def _searched_model(self, vals):
         """The model of the searched tables' cells, without the defined
         tables."""
-        n = self.n
-        flat = {s: vals[self.base[s]:self.base[s] + n ** a]
-                for s, a in self.fun_syms + self.rel_syms}
-        return FiniteModel(
-            n, {s: flat[s][0] for s, a in self.fun_syms if a == 0},
-            {s: unflatten(flat[s], a, n) for s, a in self.fun_syms if a},
-            {s: unflatten([bool(v) for v in flat[s]], a, n)
+        n, base = self.n, self.base
+        return FiniteModel._from_flat(
+            n, {s: vals[base[s]] for s, a in self.fun_syms if a == 0},
+            {s: (tuple(vals[base[s]:base[s] + n ** a]), a)
+             for s, a in self.fun_syms if a},
+            {s: (tuple(map(bool, vals[base[s]:base[s] + n ** a])), a)
              for s, a in self.rel_syms})
 
     def _leaf_model(self, vals):

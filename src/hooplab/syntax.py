@@ -555,30 +555,28 @@ def render_model(m) -> str:
     blocks = []
     for name in m.constant_names():
         blocks.append(" %s : %s\n" % (name, m.constants[name]))
-    for name in m.function_names():
-        blocks.append(_render_table(name, m.fun_tables[name], n, cell))
-    for name in m.relation_names():
-        blocks.append(_render_table(name, m.rel_tables[name], n,
+    for name, (flat, arity) in m._funs.items():
+        blocks.append(_render_table(name, flat, arity, n, cell))
+    for name, (flat, arity) in m._rels.items():
+        blocks.append(_render_table(name, flat, arity, n,
                                     lambda v: cell(int(v))))
     return "\n".join(blocks)
 
 
-def _render_table(name, table, n, cell):
+def _render_table(name, flat, arity, n, cell):
     """A binary table as rows under a column header; a table of any other
     arity as its entries on one line, in the compact format's row-major
-    order."""
-    from .model import _arity, _flat
-
+    order.  flat holds the entries in that order."""
     lines = [" %s :" % name]
-    if _arity(table) == 2:
+    if arity == 2:
         header = "    %s | %s" % (" " * len(cell(0)),
                                   " ".join(cell(j) for j in range(n)))
         lines.append(header)
         lines.append("    %s-+-%s" % ("-" * len(cell(0)),
                                       "-" * (len(header) - len(cell(0)) - 7)))
         for i in range(n):
-            lines.append("    %s | %s" % (cell(i),
-                                          " ".join(cell(v) for v in table[i])))
+            lines.append("    %s | %s" % (cell(i), " ".join(
+                cell(v) for v in flat[i * n:(i + 1) * n])))
     else:
-        lines.append("      %s" % " ".join(cell(v) for v in _flat(table)))
+        lines.append("      %s" % " ".join(cell(v) for v in flat))
     return "\n".join(lines) + "\n"

@@ -6,10 +6,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from hooplab.hoops import builtin_theory, derived_tables, lukasiewicz
+from hooplab.chains import lemma_corpus
+from hooplab.hoops import (
+    DEFINITIONS, builtin_theory, derived_tables, lukasiewicz,
+)
 from hooplab.model import (
-    FiniteModel, ModelError, deserialize_model, isomorphic, serialize_model,
-    unflatten,
+    FiniteModel, ModelError, _compiled, deserialize_model, isomorphic,
+    serialize_model, unflatten,
 )
 from hooplab.search import SearchOptions, enumerate_models
 from hooplab.syntax import Theory, parse_formula_text, parse_source
@@ -59,6 +62,9 @@ def test_uninterpreted_symbol_error():
     # a numeral is a constant like any other, not the element it spells
     with pytest.raises(ModelError, match="constant '2'"):
         L3.eval_term({}, ("2",))
+    # a table is read only at the arity it has
+    with pytest.raises(ModelError, match="'\\+' has arity 2, used with 1"):
+        L3.eval_term({"x": 0}, ("+", ("V", "x")))
 
 
 def test_uninterpreted_symbols_fail_only_when_reached():
@@ -107,12 +113,16 @@ def _ref_holds(m, env, f):
             "iff": a == b}[f[0]]
 
 
-_HOOPS = [derived_tables(m) for n in range(1, 5)
-          for m in enumerate_models(builtin_theory("hoop"),
+# hoops of sizes 1-5 with their defined tables, as the search builds them
+_HOOPS = [m for n in range(1, 6)
+          for m in enumerate_models(builtin_theory("hoop_defs"),
                                     SearchOptions(n, upto_iso=True))]
 _terms = st.recursive(
     st.sampled_from([("V", "x"), ("V", "y"), ("V", "z"), ("0",), ("1",)]),
-    lambda sub: st.tuples(st.sampled_from(["+", "~"]), sub, sub),
+    lambda sub: st.one_of(
+        st.tuples(st.just("neg"), sub),
+        st.tuples(st.sampled_from(["+", "~", "cup", "cap", "\\", "nand"]),
+                  sub, sub)),
     max_leaves=5)
 _formulas = st.recursive(
     st.tuples(st.just("atom"),
@@ -123,22 +133,67 @@ _formulas = st.recursive(
     max_leaves=4)
 
 
+@st.composite
+def built_hoop(draw):
+    """(m, q, p): a hoop m from the search, and q, the same hoop built by
+    the search, by m.permuted(p) or by deserialize_model, with p the
+    relabeling that takes m to q."""
+    m = draw(st.sampled_from(_HOOPS))
+    same = list(range(m.size))
+    how = draw(st.sampled_from(["search", "permuted", "deserialized"]))
+    if how == "permuted":
+        p = draw(st.permutations(same))
+        return m, m.permuted(p), p
+    if how == "deserialized":
+        return m, deserialize_model(serialize_model(m)), same
+    return m, m, same
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(_HOOPS), _formulas)
-def test_evaluator_agrees_with_reference(m, f):
+@given(built_hoop(), _formulas)
+def test_evaluator_agrees_with_reference(built, f):
+    """The evaluator on q's flat tables agrees with the reference on m's
+    nested ones and on q's, and q's defined tables with the reference on
+    each definition body."""
+    m, q, p = built
     names = sorted(formula_vars(f))
     envs = [dict(zip(names, vals))
             for vals in product(range(m.size), repeat=len(names))]
+    moved = [{v: p[x] for v, x in env.items()} for env in envs]
     want = [_ref_holds(m, env, f) for env in envs]
-    assert [m.holds(env, f) for env in envs] == want
-    assert all(type(m.holds(env, f)) is bool for env in envs)
-    assert m.satisfies(f) == all(want)
-    assert m.counterexample_env(f) == next(
-        (env for env, ok in zip(envs, want) if not ok), None)
+    assert [_ref_holds(q, env, f) for env in moved] == want
+    assert [q.holds(env, f) for env in moved] == want
+    assert all(type(q.holds(env, f)) is bool for env in moved)
+    assert q.satisfies(f) == all(want)
+    # the first failure in product order over q's values
+    assert q.counterexample_env(f) == min(
+        (env for env, ok in zip(moved, want) if not ok),
+        key=lambda env: [env[v] for v in names], default=None)
     for atom in formula_atoms(f):
         for t in atom[1:]:
-            assert [m.eval_term(env, t) for env in envs] == \
-                [_ref_term(m, env, t) for env in envs]
+            assert [q.eval_term(env, t) for env in moved] == \
+                [p[_ref_term(m, env, t)] for env in envs]
+    for name, (kind, params, body) in DEFINITIONS.items():
+        table = (q.fun_tables if kind == "function" else q.rel_tables)[name]
+        ref = _ref_term if kind == "function" else _ref_holds
+        for args in product(range(q.size), repeat=len(params)):
+            assert _at(table, args) == ref(q, dict(zip(params, args)), body)
+
+
+def test_each_formula_is_compiled_once():
+    # one compilation per formula serves every model and every size
+    axioms = builtin_theory("hoop").assumptions
+    statements = [r.statement for r in lemma_corpus()]
+    chains = [lukasiewicz(n) for n in range(2, 9)]
+    _compiled.cache_clear()
+    for m in chains:
+        assert all(m.satisfies(f) for f in axioms)
+        d = derived_tables(m)
+        assert all(d.satisfies(f) for f in statements)
+    info = _compiled.cache_info()
+    assert info.misses == len(set(axioms) | set(statements)) \
+        + len(DEFINITIONS)
+    assert info.maxsize is not None
 
 
 def test_isomorphic_permutation():
@@ -357,6 +412,24 @@ def test_model_validation():
         FiniteModel(2, {"c": 5})
     with pytest.raises(ModelError):
         FiniteModel(2, {}, {"f": ((0, 3), (0, 0))})
+    # every row has n places, at every depth
+    for n, table in ((3, ((0, 1), (1, 0))), (2, ((0, 1), (1,))),
+                     (2, ((0, 1), 1)), (2, (0, (1, 0))), (2, ())):
+        with pytest.raises(ModelError, match="table f"):
+            FiniteModel(n, {}, {"f": table})
+        with pytest.raises(ModelError, match="table r"):
+            FiniteModel(n, {}, {}, {"r": table})
+    # relation entries are 0 or 1, bools included
+    with pytest.raises(ModelError, match="table r"):
+        FiniteModel(2, {}, {}, {"r": ((True, 5), (0, 1))})
+    m = FiniteModel(2, {}, {}, {"r": ((True, 0), (1, False))})
+    assert m.rel_tables["r"] == ((True, False), (True, False))
+    assert m.encode() == (1, 0, 1, 0)
+    # an assignment outside the carrier is no environment
+    with pytest.raises(ModelError, match="variable x"):
+        L3.eval_term({"x": 3}, ("+", ("V", "x"), ("0",)))
+    with pytest.raises(ModelError, match="permutation"):
+        L3.permuted([0, 0, 1])
 
 
 def test_extend_appends_defined_tables_in_order():

@@ -586,6 +586,39 @@ def test_disc_tree_retrieves_exactly_the_matching_patterns(patterns, term):
     assert got == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_terms, min_size=1, max_size=5),
+       st.lists(st.integers(0, 9), max_size=20), _terms)
+# a pattern stored twice, under two values, and one of them removed; and
+# two variants of one pattern, one of them removed
+@example([("f", X, Y)], [0, 0, 5], ("f", ("a",), ("b",)))
+@example([("f", X, Y), ("f", Y, Z)], [0, 1, 0, 7], ("f", Z, ("a",)))
+def test_disc_tree_retrieves_what_removal_leaves(patterns, steps, term):
+    """Inserts and removes interleaved: a step k < 5 stores
+    patterns[k % len(patterns)] under the step's number, and a step
+    k >= 5 removes the stored entry k % (number stored), if any.
+    retrieve then returns each pattern still stored that terms.match
+    accepts, once per value, with match's binding, and nothing else."""
+    tree = saturate._DiscTree()
+    stored = []
+    for value, k in enumerate(steps):
+        if k < 5:
+            pat = patterns[k % len(patterns)]
+            tree.insert(pat, value)
+            stored.append((value, pat))
+        elif stored:
+            value, pat = stored.pop(k % len(stored))
+            tree.remove(pat, value)
+    got = {}
+    for value, names, binds in tree.retrieve(term):
+        assert value not in got
+        got[value] = dict(zip(names, binds))
+    want = {value: b for value, b in ((value, match(pat, term))
+                                      for value, pat in stored)
+            if b is not None}
+    assert got == want
+
+
 def _brute_subsumes(c, d):
     """Whether c has no more literals than d and some substitution maps
     each literal of c onto a literal of d, equations either way round:
